@@ -8,10 +8,11 @@ default output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -32,29 +33,6 @@ from .trainer import load_checkpoint, predict_ratings, save_checkpoint
 DEFAULT_LAMBDA_GRID = [10 ** (i / 16) for i in range(1, 41, 4)]
 DEFAULT_TAU1_GRID = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 49.99]
 DEFAULT_S_GRID = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A full self-training run: loop settings plus dataset plumbing."""
-
-    selftrain: SelfTrainConfig
-    dataset: str
-    flavor: str
-    out_dir: str
-    split_frac: float = 0.8
-    runs: int = 1
-    deterministic: bool = True
-
-    def __post_init__(self):
-        if self.flavor not in ("ml100k", "ml1m", "stmat"):
-            raise ValueError(f"unknown dataset flavor {self.flavor!r}")
-        if not self.dataset or not self.out_dir:
-            raise ValueError("dataset and output paths must be non-empty")
-        if not 0.0 < self.split_frac < 1.0:
-            raise ValueError("split fraction must lie in (0, 1)")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
 
 
 def _default_out_dir() -> str:
@@ -99,45 +77,43 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _selftrain_config(args, parser) -> SelfTrainConfig:
+def _selftrain_config(args, parser, **fields) -> SelfTrainConfig:
+    """Loop config from the flags selftrain and gridsearch share, with
+    `fields` setting the rest; an invalid combination is a usage error."""
     try:
         return SelfTrainConfig(
             n_factors=args.dim,
-            reg=args.reg,
             lr=args.lr,
             gd_iters=args.gd_iters,
             tol=args.tol,
             seed=args.seed,
-            tau_augment=args.tau1 / 100.0,
             tau_refine=args.tau2 / 100.0,
-            sample_pct=args.sample_pct,
             cap=args.cap,
             max_rounds=args.iters,
-            patience=args.patience,
+            **fields,
         )
     except ValueError as exc:
         parser.error(str(exc))
 
 
 def cmd_selftrain(args, parser) -> int:
-    cfg = _selftrain_config(args, parser)
+    cfg = _selftrain_config(
+        args, parser, reg=args.reg, tau_augment=args.tau1 / 100.0,
+        sample_pct=args.sample_pct, patience=args.patience,
+    )
+    if not os.path.exists(args.input):
+        return _fail(f"input file not found: {args.input}")
     try:
-        run = RunConfig(
-            selftrain=cfg, dataset=str(args.input), flavor="stmat",
-            out_dir=str(args.out_dir), deterministic=args.deterministic,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    if not os.path.exists(run.dataset):
-        return _fail(f"input file not found: {run.dataset}")
-    y = load_matrix(run.dataset)
-    test = load_matrix(args.test) if args.test else None
-    out_dir = Path(run.out_dir)
+        y = load_matrix(args.input)
+        test = load_matrix(args.test) if args.test else None
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(
         f"tau_augment={cfg.tau_augment:.6g} tau_refine={cfg.tau_refine:.6g} "
         f"sample_pct={cfg.sample_pct:g} cap={cfg.cap} rounds={cfg.max_rounds} "
-        f"seed={cfg.seed} deterministic={args.deterministic}"
+        f"seed={cfg.seed}"
     )
     snap_dir = out_dir / "snapshots"
     if args.snapshot_every > 0:
@@ -172,13 +148,10 @@ def cmd_evaluate(args) -> int:
     try:
         model = load_checkpoint(args.checkpoint)
         test = load_matrix(args.test)
+        model.check_matches(test)
+        train = load_matrix(args.train) if args.train else None
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    if model.n_users != test.n_users or model.n_items != test.n_items:
-        return _fail("checkpoint and matrix dimensions differ")
-    if model.max_rating != test.max_rating:
-        return _fail("checkpoint and matrix rating scales differ")
-    train = load_matrix(args.train) if args.train else None
     preds = predict_ratings(model, test.users, test.items, trained_on=train)
     pairs = np.column_stack([test.ratings, preds])
     metrics = snapshot(pairs)
@@ -196,34 +169,25 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_grid(text, fallback):
+def _parse_grid(text, fallback, parser):
     if text is None:
         return list(fallback)
-    return [float(v) for v in text.split(",") if v.strip()]
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        parser.error(f"grid values must be numbers: {text!r}")
 
 
 def _grid_cell(payload):
-    (y, lam, tau1, s, args_dict) = payload
+    """Mean validation (MAE, RMSE) of one grid cell over its seeded runs."""
+    y, cfg, runs, val_frac = payload
     maes, rmses = [], []
-    for run in range(args_dict["runs"]):
-        seed = args_dict["seed"] + run
-        inner_train, holdout = split(y, 1.0 - args_dict["val_frac"], seed)
+    for run in range(runs):
+        seed = cfg.seed + run
+        inner_train, holdout = split(y, 1.0 - val_frac, seed)
         if holdout.n_observed == 0:
             raise ValueError("validation carve-out is empty; matrix too small for val-frac")
-        cfg = SelfTrainConfig(
-            n_factors=args_dict["dim"],
-            reg=lam,
-            lr=args_dict["lr"],
-            gd_iters=args_dict["gd_iters"],
-            tol=args_dict["tol"],
-            seed=seed,
-            tau_augment=tau1 / 100.0,
-            tau_refine=args_dict["tau2"] / 100.0,
-            sample_pct=s,
-            cap=args_dict["cap"],
-            max_rounds=args_dict["iters"],
-        )
-        result = selftrain_loop(inner_train, cfg, holdout)
+        result = selftrain_loop(inner_train, dataclasses.replace(cfg, seed=seed), holdout)
         last = result.reports[-1]
         maes.append(last.test_mae)
         rmses.append(last.test_rmse)
@@ -231,38 +195,36 @@ def _grid_cell(payload):
 
 
 def cmd_gridsearch(args, parser) -> int:
-    if args.tau2 >= 50.0:
-        parser.error("tau2 must be below 50 (percent of the average gap)")
     if not 0.0 < args.val_frac < 1.0:
         parser.error("val-frac must lie in (0, 1)")
+    lambdas = _parse_grid(args.lambda_grid, DEFAULT_LAMBDA_GRID, parser)
+    tau1s = _parse_grid(args.tau1_grid, DEFAULT_TAU1_GRID, parser)
+    ss = _parse_grid(args.s_grid, DEFAULT_S_GRID, parser)
+    cells = [(lam, tau1, s) for lam in lambdas for tau1 in tau1s for s in ss]
+    if not cells:
+        parser.error("the grid has no cells")
+    configs = [
+        _selftrain_config(args, parser, reg=lam, tau_augment=tau1 / 100.0, sample_pct=s)
+        for lam, tau1, s in cells
+    ]
     if not os.path.exists(args.input):
         return _fail(f"input file not found: {args.input}")
-    y = load_matrix(args.input)
-    lambdas = _parse_grid(args.lambda_grid, DEFAULT_LAMBDA_GRID)
-    tau1s = _parse_grid(args.tau1_grid, DEFAULT_TAU1_GRID)
-    ss = _parse_grid(args.s_grid, DEFAULT_S_GRID)
-    cells = [(lam, tau1, s) for lam in lambdas for tau1 in tau1s for s in ss]
-    args_dict = {
-        "runs": args.runs, "seed": args.seed, "val_frac": args.val_frac,
-        "dim": args.dim, "lr": args.lr, "gd_iters": args.gd_iters,
-        "tol": args.tol, "tau2": args.tau2, "cap": args.cap, "iters": args.iters,
-    }
-    payloads = [(y, lam, tau1, s, args_dict) for (lam, tau1, s) in cells]
+    try:
+        y = load_matrix(args.input)
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
+    payloads = [(y, cfg, args.runs, args.val_frac) for cfg in configs]
     out = open(args.out, "w", newline="")
     out.write("lambda,tau1,s,mae,rmse\n")
     best = None
     try:
-        if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ExitStack() as stack:
+            if args.workers > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))
                 results = pool.map(_grid_cell, payloads)
-                for (lam, tau1, s), (mae_v, rmse_v) in zip(cells, results):
-                    out.write(f"{lam:.6g},{tau1:g},{s:g},{mae_v:.6f},{rmse_v:.6f}\n")
-                    out.flush()
-                    if best is None or mae_v < best[3]:
-                        best = (lam, tau1, s, mae_v, rmse_v)
-        else:
-            for payload, (lam, tau1, s) in zip(payloads, cells):
-                mae_v, rmse_v = _grid_cell(payload)
+            else:
+                results = map(_grid_cell, payloads)
+            for (lam, tau1, s), (mae_v, rmse_v) in zip(cells, results):
                 out.write(f"{lam:.6g},{tau1:g},{s:g},{mae_v:.6f},{rmse_v:.6f}\n")
                 out.flush()
                 if best is None or mae_v < best[3]:
@@ -346,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=5)
     p.add_argument("--out-dir", default=_default_out_dir())
     p.add_argument("--snapshot-every", type=int, default=0)
-    p.add_argument("--deterministic", action="store_true",
-                   help="sequential reductions (this implementation always is)")
     p.set_defaults(needs_parser=True, func=cmd_selftrain)
 
     p = sub.add_parser("evaluate", help="score a checkpoint against a matrix")

@@ -192,6 +192,13 @@ class FactorModel:
     def max_rating(self) -> int:
         return self.thresholds.shape[1] + 1
 
+    def check_matches(self, y: SparseRatingMatrix):
+        """Raise ValueError unless y has this model's users, items and scale."""
+        if self.n_users != y.n_users or self.n_items != y.n_items:
+            raise ValueError("model and matrix dimensions differ")
+        if self.max_rating != y.max_rating:
+            raise ValueError("model and matrix rating scales differ")
+
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -219,17 +226,18 @@ def smooth_hinge(z):
     """Smooth hinge loss: 0 for z >= 1, quadratic on (0, 1), linear below.
 
     Continuously differentiable, non-negative, non-increasing, 1-Lipschitz.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays.  With c = clip(z, 0, 1) the loss is
+    0.5 * (1 - c)^2 - min(z, 0), the same bits as the piecewise form.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = np.where(z >= 1.0, 0.0, np.where(z > 0.0, 0.5 * (1.0 - z) ** 2, 0.5 - z))
+    out = 0.5 * (1.0 - np.clip(z, 0.0, 1.0)) ** 2 - np.minimum(z, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
 def smooth_hinge_grad(z):
-    """Derivative of smooth_hinge; always in [-1, 0]."""
+    """Derivative of smooth_hinge, clip(z, 0, 1) - 1; always in [-1, 0]."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.where(z >= 1.0, 0.0, np.where(z > 0.0, z - 1.0, -1.0))
+    out = np.clip(z, 0.0, 1.0) - 1.0
     return float(out) if out.ndim == 0 else out
 
 
@@ -247,32 +255,21 @@ def predict_score(model: FactorModel, i: int, j: int) -> float:
 
 
 def discretize_scores(threshold_row: np.ndarray, scores) -> np.ndarray:
-    """Map scores to ratings against one user's threshold row.
-
-    Rating r covers the half-open interval (theta_{r-1}, theta_r] with
-    sentinels -inf and +inf at the ends.  Thresholds are scanned in order
-    and the first containing interval wins, which makes the result
-    deterministic even if the row is unsorted and coincides with interval
-    lookup when it is sorted.
-    """
-    theta = np.asarray(threshold_row, dtype=np.float64)
+    """Map scores to ratings against one user's threshold row; the
+    single-row form of discretize_rows, keeping the shape of scores."""
     x = np.asarray(scores, dtype=np.float64)
-    n_levels = theta.size + 1
-    out = np.zeros(x.shape, dtype=np.int64)
-    lo = np.full(x.shape, -np.inf)
-    for r in range(1, n_levels + 1):
-        hi = theta[r - 1] if r < n_levels else np.inf
-        hit = (out == 0) & (lo < x) & (x <= hi)
-        out[hit] = r
-        lo = np.broadcast_to(np.float64(hi), x.shape)
-    return out
+    theta = np.asarray(threshold_row, dtype=np.float64)
+    return discretize_rows(theta[None, :], x.reshape(1, -1)).reshape(x.shape)
 
 
 def discretize_rows(threshold_rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Row-wise discretization: row k of scores uses threshold row k.
 
-    threshold_rows is (B, R-1) and scores is (B, m); same interval rule and
-    first-match order as discretize_scores, vectorized over rows.
+    threshold_rows is (B, R-1) and scores is (B, m).  Rating r covers the
+    half-open interval (theta_{r-1}, theta_r] with sentinels -inf and +inf
+    at the ends.  Thresholds are scanned in order and the first containing
+    interval wins, which makes the result deterministic even if a row is
+    unsorted and coincides with interval lookup when it is sorted.
     """
     theta = np.asarray(threshold_rows, dtype=np.float64)
     x = np.asarray(scores, dtype=np.float64)

@@ -7,6 +7,7 @@ the textual STMAT format.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,33 +53,37 @@ class PreprocessResult:
     n_duplicates: int
 
 
-def _iter_lines(source):
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source) as handle:
-            yield from handle
+@contextmanager
+def open_text(target, mode: str = "r"):
+    """Open target as a text file if it is a path, closing it on exit;
+    any other target is taken as an open stream and yielded untouched."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, mode) as stream:
+            yield stream
     else:
-        yield from source
+        yield target
 
 
 def _parse_delimited(source, delimiter: str, source_tag: str, max_rating: int = 5) -> RawRatings:
     users, items, ratings, stamps = [], [], [], []
-    for line_no, line in enumerate(_iter_lines(source), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(delimiter)
-        if len(parts) != 4:
-            raise ParseError(line_no, f"expected 4 fields, got {len(parts)}")
-        try:
-            u, i, r, t = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(line_no, "non-integer field") from None
-        if not 1 <= r <= max_rating:
-            raise ParseError(line_no, f"rating {r} outside 1..{max_rating}")
-        users.append(u)
-        items.append(i)
-        ratings.append(r)
-        stamps.append(t)
+    with open_text(source) as stream:
+        for line_no, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(delimiter)
+            if len(parts) != 4:
+                raise ParseError(line_no, f"expected 4 fields, got {len(parts)}")
+            try:
+                u, i, r, t = (int(p) for p in parts)
+            except ValueError:
+                raise ParseError(line_no, "non-integer field") from None
+            if not 1 <= r <= max_rating:
+                raise ParseError(line_no, f"rating {r} outside 1..{max_rating}")
+            users.append(u)
+            items.append(i)
+            ratings.append(r)
+            stamps.append(t)
     return RawRatings(
         np.array(users, dtype=np.int64),
         np.array(items, dtype=np.int64),
@@ -139,24 +144,17 @@ def preprocess(raw: RawRatings, min_ratings: int = 20, max_rating: int = 5) -> P
 def save_matrix(y: SparseRatingMatrix, target):
     """Write the textual STMAT format: header line then `i j r` entries
     sorted by (i, j)."""
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    stream = open(target, "w") if own else target
-    try:
+    with open_text(target, "w") as stream:
         stream.write(
             f"{MATRIX_MAGIC} 1 {y.n_users} {y.n_items} {y.max_rating} {y.n_observed}\n"
         )
         for u, i, r in zip(y.users, y.items, y.ratings):
             stream.write(f"{u} {i} {r}\n")
-    finally:
-        if own:
-            stream.close()
 
 
 def load_matrix(source) -> SparseRatingMatrix:
     """Read a matrix written by save_matrix, validating header and count."""
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    stream = open(source) if own else source
-    try:
+    with open_text(source) as stream:
         header = stream.readline().split()
         if len(header) != 6 or header[0] != MATRIX_MAGIC or header[1] != "1":
             raise ValueError("not a recognized matrix header")
@@ -171,7 +169,4 @@ def load_matrix(source) -> SparseRatingMatrix:
             users[k], items[k], ratings[k] = (int(p) for p in parts)
         if stream.readline().strip():
             raise ValueError("trailing data after the declared entry count")
-        return SparseRatingMatrix(n_users, n_items, max_rating, users, items, ratings)
-    finally:
-        if own:
-            stream.close()
+    return SparseRatingMatrix(n_users, n_items, max_rating, users, items, ratings)

@@ -170,13 +170,6 @@ class SelfTrainResult:
     stop_reason: str
 
 
-def _check_pair(model: FactorModel, y: SparseRatingMatrix):
-    if model.n_users != y.n_users or model.n_items != y.n_items:
-        raise ValueError("model and matrix dimensions differ")
-    if model.max_rating != y.max_rating:
-        raise ValueError("model and matrix rating scales differ")
-
-
 def high_confidence_candidates(
     model: FactorModel, y: SparseRatingMatrix, tau_augment: float, block: int = 256
 ) -> CandidateSet:
@@ -190,7 +183,7 @@ def high_confidence_candidates(
     """
     if not 0.0 < tau_augment < 0.5:
         raise ValueError("tau_augment must lie in (0, 0.5)")
-    _check_pair(model, y)
+    model.check_matches(y)
     gaps, _ = avg_threshold_gaps(model)
     margin = gaps * tau_augment
     theta = model.thresholds
@@ -232,7 +225,7 @@ def low_confidence_observed(
     """
     if not 0.0 < tau_refine < 0.5:
         raise ValueError("tau_refine must lie in (0, 0.5)")
-    _check_pair(model, y)
+    model.check_matches(y)
     gaps, _ = avg_threshold_gaps(model)
     scores = np.einsum(
         "ij,ij->i", model.user_factors[y.users], model.item_factors[y.items]
@@ -375,7 +368,10 @@ def overlap_stats(prev: CandidateSet, cur: CandidateSet):
     """
     if len(prev) == 0:
         return 0, 0.0
-    overlap = int(np.intersect1d(prev.packed_triples(), cur.packed_triples()).size)
+    # CandidateSet rejects duplicate cells, so both key arrays are unique.
+    overlap = int(np.intersect1d(
+        prev.packed_triples(), cur.packed_triples(), assume_unique=True
+    ).size)
     return overlap, overlap / len(prev)
 
 
@@ -465,16 +461,3 @@ def selftrain_loop(
                 stop_reason = "test_mae_degrading"
                 break
     return SelfTrainResult(model=model, reports=reports, stop_reason=stop_reason)
-
-
-def write_reports_csv(reports, target):
-    """Write the cumulative per-round CSV (fixed column set)."""
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    stream = open(target, "w", newline="") if own else target
-    try:
-        stream.write(",".join(REPORT_CSV_COLUMNS) + "\n")
-        for report in reports:
-            stream.write(",".join(report.to_csv_row()) + "\n")
-    finally:
-        if own:
-            stream.close()

@@ -1,9 +1,10 @@
 """Gradient-descent solver for the all-threshold margin factorization.
 
-Evaluates the regularized hinge objective, computes exact gradients for
-the user factors, item factors, and thresholds, and runs a monotone
-descent loop with backtracking step control.  Also provides full-matrix
-completion and the textual checkpoint format.
+Evaluates the regularized hinge objective together with its exact
+gradients for the user factors, item factors, and thresholds in one pass
+over every (entry, threshold) term, and runs a monotone descent loop with
+backtracking step control.  Also provides full-matrix completion and the
+textual checkpoint format.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from .core import (
     discretize_rows,
     smooth_hinge,
     smooth_hinge_grad,
+    t_indicator,
 )
+from .ingest import open_text
 
 CHECKPOINT_MAGIC = "STMMMF"
 
@@ -44,64 +47,57 @@ class TrainTrace:
     order_violations: int
 
 
-def _check_shapes(model: FactorModel, y: SparseRatingMatrix):
-    if model.n_users != y.n_users or model.n_items != y.n_items:
-        raise ValueError("model and matrix dimensions differ")
-    if model.max_rating != y.max_rating:
-        raise ValueError("model and matrix rating scales differ")
-
-
 def _observed_scores(model: FactorModel, y: SparseRatingMatrix) -> np.ndarray:
     return np.einsum(
-        "ij,ij->i", model.user_factors[y.users], model.item_factors[y.items]
+        "ij,ij->i",
+        np.take(model.user_factors, y.users, axis=0),
+        np.take(model.item_factors, y.items, axis=0),
     )
 
 
-def objective(model: FactorModel, y: SparseRatingMatrix, reg: float) -> float:
-    """Regularized all-threshold hinge objective.
+def loss_and_grad(model: FactorModel, y: SparseRatingMatrix, reg: float):
+    """Regularized all-threshold hinge objective and its exact gradients.
 
-    Sums smooth_hinge(T * (theta_r - x)) over every observed entry and
-    every threshold level r, plus reg/2 times the squared Frobenius norms
-    of the factor matrices.
+    The objective sums smooth_hinge(T * (theta_r - x)) over every observed
+    entry and every threshold level r, plus reg/2 times the squared
+    Frobenius norms of the factor matrices.  All (entry, threshold) terms
+    are evaluated as one (n_observed, R-1) matrix.  Returns
+    (value, (g_user, g_item, g_theta)); users or items with no observed
+    ratings only receive the regularizer term (zero for thresholds).
     """
-    _check_shapes(model, y)
+    model.check_matches(y)
     if reg < 0:
         raise ValueError("reg must be >= 0")
+    U, V = model.user_factors, model.item_factors
+    # Row k of the sign table holds T(r, k + 1) for r = 1..R-1; gathering
+    # row rating - 1 per entry gives the (n_observed, R-1) sign matrix.
+    signs = t_indicator(np.arange(1, y.max_rating), np.arange(1, y.max_rating + 1)[:, None])
+    t = np.take(signs, y.ratings - 1, axis=0)
     x = _observed_scores(model, y)
-    theta = model.thresholds
-    total = 0.0
-    for r in range(1, y.max_rating):
-        t = np.where(r >= y.ratings, 1.0, -1.0)
-        z = t * (theta[y.users, r - 1] - x)
-        total += smooth_hinge(z).sum()
-    norms = np.sum(model.user_factors**2) + np.sum(model.item_factors**2)
-    return float(total + 0.5 * reg * norms)
+    z = t * (np.take(model.thresholds, y.users, axis=0) - x[:, None])
+    norms = np.sum(U**2) + np.sum(V**2)
+    value = float(smooth_hinge(z).sum() + 0.5 * reg * norms)
+    coef = t * smooth_hinge_grad(z)
+    # Entries are sorted by (user, item), so each user's entries form one
+    # CSR row and the row pointer is the running count of entries per user.
+    n = y.n_observed
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(y.users, minlength=y.n_users))))
+    by_user = sparse.csr_matrix((np.ones(n), np.arange(n), indptr), shape=(y.n_users, n))
+    # sum(axis=1) adds each entry's terms in threshold order (einsum does
+    # not), so the weights equal the per-threshold reference bit for bit.
+    w = sparse.csr_matrix((coef.sum(axis=1), y.items, indptr), shape=(y.n_users, y.n_items))
+    grads = (reg * U - w @ V, reg * V - w.T @ U, by_user @ coef)
+    return value, grads
+
+
+def objective(model: FactorModel, y: SparseRatingMatrix, reg: float) -> float:
+    """Regularized all-threshold hinge objective (see loss_and_grad)."""
+    return loss_and_grad(model, y, reg)[0]
 
 
 def compute_gradients(model: FactorModel, y: SparseRatingMatrix, reg: float):
-    """Exact gradients of the objective w.r.t. factors and thresholds.
-
-    Returns (g_user, g_item, g_theta).  Users or items with no observed
-    ratings only receive the regularizer term (zero for thresholds).
-    """
-    _check_shapes(model, y)
-    if reg < 0:
-        raise ValueError("reg must be >= 0")
-    U, V, theta = model.user_factors, model.item_factors, model.thresholds
-    x = _observed_scores(model, y)
-    weights = np.zeros(y.n_observed)
-    g_theta = np.zeros_like(theta)
-    for r in range(1, y.max_rating):
-        t = np.where(r >= y.ratings, 1.0, -1.0)
-        coef = t * smooth_hinge_grad(t * (theta[y.users, r - 1] - x))
-        weights += coef
-        g_theta[:, r - 1] = np.bincount(y.users, weights=coef, minlength=y.n_users)
-    w = sparse.coo_matrix(
-        (weights, (y.users, y.items)), shape=(y.n_users, y.n_items)
-    ).tocsr()
-    g_user = reg * U - w @ V
-    g_item = reg * V - w.T @ U
-    return g_user, g_item, g_theta
+    """Exact (g_user, g_item, g_theta) of the objective (see loss_and_grad)."""
+    return loss_and_grad(model, y, reg)[1]
 
 
 def gd_step(model: FactorModel, grads, lr: float) -> FactorModel:
@@ -151,7 +147,7 @@ def train(y: SparseRatingMatrix, params: Hyperparams, n_factors: int):
     if n_factors < 1:
         raise ValueError("n_factors must be >= 1")
     model = initial_model(y, n_factors, params.seed)
-    current = objective(model, y, params.reg)
+    current, grads = loss_and_grad(model, y, params.reg)
     if not np.isfinite(current):
         raise TrainingDivergedError("initial objective is not finite")
     objectives = [current]
@@ -160,18 +156,17 @@ def train(y: SparseRatingMatrix, params: Hyperparams, n_factors: int):
     violations = 0
     converged = False
     for _ in range(params.max_iters):
-        grads = compute_gradients(model, y, params.reg)
         proposal = None
         while lr >= _MIN_LR:
             candidate = gd_step(model, grads, lr)
-            value = objective(candidate, y, params.reg)
+            value, candidate_grads = loss_and_grad(candidate, y, params.reg)
             if np.isfinite(value) and value <= current:
-                proposal = (candidate, value)
+                proposal = (candidate, value, candidate_grads)
                 break
             lr *= 0.5
         if proposal is None:
             break
-        model, value = proposal
+        model, value, grads = proposal
         accepted += 1
         objectives.append(value)
         violations += int(
@@ -201,7 +196,7 @@ def predict_all(model: FactorModel, block: int = 256) -> np.ndarray:
 def complete_matrix(model: FactorModel, y: SparseRatingMatrix) -> np.ndarray:
     """Dense completion: observed cells keep their rating, the rest are
     filled with discretized scores."""
-    _check_shapes(model, y)
+    model.check_matches(y)
     out = predict_all(model)
     out[y.users, y.items] = y.ratings
     return out
@@ -225,9 +220,7 @@ def predict_ratings(model: FactorModel, users, items, trained_on=None) -> np.nda
 
 def save_checkpoint(model: FactorModel, target):
     """Write the textual checkpoint: header then U, V, theta rows."""
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    stream = open(target, "w") if own else target
-    try:
+    with open_text(target, "w") as stream:
         stream.write(
             f"{CHECKPOINT_MAGIC} 1 {model.n_users} {model.n_items} "
             f"{model.n_factors} {model.max_rating}\n"
@@ -235,16 +228,11 @@ def save_checkpoint(model: FactorModel, target):
         for block in (model.user_factors, model.item_factors, model.thresholds):
             for row in block:
                 stream.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if own:
-            stream.close()
 
 
 def load_checkpoint(source) -> FactorModel:
     """Read a checkpoint written by save_checkpoint."""
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    stream = open(source) if own else source
-    try:
+    with open_text(source) as stream:
         header = stream.readline().split()
         if len(header) != 6 or header[0] != CHECKPOINT_MAGIC or header[1] != "1":
             raise ValueError("not a recognized checkpoint header")
@@ -260,7 +248,6 @@ def load_checkpoint(source) -> FactorModel:
         u = read_block(n_users, n_factors)
         v = read_block(n_items, n_factors)
         theta = read_block(n_users, max_rating - 1)
-        return FactorModel(u, v, theta)
-    finally:
-        if own:
-            stream.close()
+        if stream.readline().strip():
+            raise ValueError("trailing data after the declared checkpoint rows")
+    return FactorModel(u, v, theta)

@@ -164,6 +164,16 @@ def test_selftrain_snapshots(toy_files):
     assert load_matrix(snaps[0]).equals(load_matrix(train_path))
 
 
+def test_selftrain_malformed_matrix_is_an_error_line(toy_files, capsys):
+    tmp_path, train_path, test_path = toy_files
+    bad = tmp_path / "bad.stmat"
+    bad.write_text("not a matrix\n")
+    for train_arg, test_arg in ((bad, test_path), (train_path, bad)):
+        assert run(selftrain_args(tmp_path, train_arg, test_arg)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
 # ------------------------------------------------------------------- evaluate
 
 def test_evaluate_perfect_predictions(tmp_path, capsys):
@@ -241,6 +251,34 @@ def test_gridsearch_averages_runs(toy_files):
                 "--iters", "1", "--cap", "20", "--out", out])
     assert code == 0
     assert len(out.read_text().splitlines()) == 2
+
+
+def grid_args(train_path, out, *extra):
+    return ["gridsearch", train_path, "--dim", "3", "--lr", "0.02",
+            "--gd-iters", "40", "--iters", "1", "--cap", "20", "--out", out, *extra]
+
+
+@pytest.mark.parametrize("grid", [
+    ["--lambda-grid", ""],            # no cells
+    ["--lambda-grid", "0.2,x"],       # not a number
+    ["--tau1-grid", "30,5"],          # tau1 5 is below tau2 10
+])
+def test_gridsearch_bad_grid_is_usage_error(toy_files, grid):
+    tmp_path, train_path, _ = toy_files
+    out = tmp_path / "grid.csv"
+    with pytest.raises(SystemExit):
+        run(grid_args(train_path, out, *grid))
+    assert not out.exists()  # rejected before any cell runs
+
+
+def test_gridsearch_workers_match_serial(toy_files):
+    tmp_path, train_path, _ = toy_files
+    grid = ["--lambda-grid", "0.2,1", "--tau1-grid", "30", "--s-grid", "100"]
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert run(grid_args(train_path, serial, *grid, "--workers", "1")) == 0
+    assert run(grid_args(train_path, pooled, *grid, "--workers", "2")) == 0
+    assert len(serial.read_text().splitlines()) == 3
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 # ------------------------------------------------------------ baseline rounds

@@ -38,6 +38,16 @@ def test_smooth_hinge_grad_values():
     assert smooth_hinge_grad(-1.0) == -1.0
 
 
+def test_smooth_hinge_clip_form_matches_piecewise_bits():
+    edges = [-np.inf, -0.0, 0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0,
+             np.nextafter(1.0, 2.0), np.inf]
+    z = np.r_[np.linspace(-3, 3, 6001), edges]
+    piecewise = np.where(z >= 1.0, 0.0, np.where(z > 0.0, 0.5 * (1.0 - z) ** 2, 0.5 - z))
+    slope = np.where(z >= 1.0, 0.0, np.where(z > 0.0, z - 1.0, -1.0))
+    assert smooth_hinge(z).tobytes() == piecewise.tobytes()
+    assert smooth_hinge_grad(z).tobytes() == slope.tobytes()
+
+
 def test_smooth_hinge_shape_properties():
     z = np.linspace(-5, 5, 2001)
     h = smooth_hinge(z)

@@ -2,8 +2,16 @@ import io
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from stmmmf.core import FactorModel, Hyperparams, SparseRatingMatrix
+from stmmmf import trainer
+from stmmmf.core import (
+    FactorModel,
+    Hyperparams,
+    SparseRatingMatrix,
+    smooth_hinge,
+    smooth_hinge_grad,
+)
 from stmmmf.synthetic import planted_matrix, planted_model
 from stmmmf.trainer import (
     TrainingDivergedError,
@@ -12,6 +20,7 @@ from stmmmf.trainer import (
     gd_step,
     initial_model,
     load_checkpoint,
+    loss_and_grad,
     objective,
     predict_all,
     predict_ratings,
@@ -52,6 +61,27 @@ def random_instance(rng, reject_kink_margin=1e-3):
                 break
         if clear:
             return model, y
+
+
+def loop_loss_and_grad(model, y, reg):
+    """Reference objective and gradients: one pass per threshold level."""
+    U, V, theta = model.user_factors, model.item_factors, model.thresholds
+    x = np.einsum("ij,ij->i", U[y.users], V[y.items])
+    total = 0.0
+    weights = np.zeros(y.n_observed)
+    g_theta = np.zeros_like(theta)
+    for r in range(1, y.max_rating):
+        t = np.where(r >= y.ratings, 1.0, -1.0)
+        z = t * (theta[y.users, r - 1] - x)
+        total += smooth_hinge(z).sum()
+        coef = t * smooth_hinge_grad(z)
+        weights += coef
+        g_theta[:, r - 1] = np.bincount(y.users, weights=coef, minlength=y.n_users)
+    w = sparse.coo_matrix(
+        (weights, (y.users, y.items)), shape=(y.n_users, y.n_items)
+    ).tocsr()
+    value = total + 0.5 * reg * (np.sum(U**2) + np.sum(V**2))
+    return value, (reg * U - w @ V, reg * V - w.T @ U, g_theta)
 
 
 def fd_gradients(model, y, reg, h=1e-5):
@@ -142,6 +172,18 @@ def test_gradients_unrated_rows_only_regularized():
     np.testing.assert_allclose(gt[1], 0.0)
 
 
+def test_loss_and_grad_matches_per_threshold_loop():
+    rng = np.random.default_rng(4)
+    for _ in range(25):
+        model, y = random_instance(rng)
+        reg = float(rng.uniform(0, 2))
+        value, grads = loss_and_grad(model, y, reg)
+        ref_value, ref_grads = loop_loss_and_grad(model, y, reg)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        for g, ref in zip(grads, ref_grads):
+            assert g.tobytes() == ref.tobytes()
+
+
 # -------------------------------------------------------------------- stepping
 
 def test_gd_step_zero_gradient_is_fixed_point():
@@ -186,6 +228,29 @@ def test_train_recovers_planted_model():
     preds = predict_ratings(model, y.users, y.items)
     assert np.abs(preds - y.ratings).mean() <= 0.05
     assert trace.objectives.size == trace.iterations + 1
+
+
+def test_train_evaluates_once_per_trial_step(monkeypatch):
+    values = []
+
+    def recorded(model, y, reg):
+        out = loss_and_grad(model, y, reg)
+        values.append(out[0])
+        return out
+
+    monkeypatch.setattr(trainer, "loss_and_grad", recorded)
+    truth = planted_model(12, 10, rank=2, seed=1)
+    y = planted_matrix(truth, observed_frac=0.7, seed=2)
+    # lr 10 overshoots, so some trial steps are rejected and halved
+    _, trace = train(y, Hyperparams(reg=0.2, lr=10.0, max_iters=20, tol=0.0, seed=5), 3)
+    assert len(values) > 1 + trace.iterations
+    # replaying the calls as start point plus trial steps gives the trace
+    current, accepted = values[0], []
+    for value in values[1:]:
+        if value <= current:
+            current = value
+            accepted.append(value)
+    assert [values[0], *accepted] == list(trace.objectives)
 
 
 def test_train_rejects_empty_matrix():
@@ -281,3 +346,10 @@ def test_checkpoint_header_format(tmp_path):
 def test_checkpoint_rejects_corrupt_header():
     with pytest.raises(ValueError):
         load_checkpoint(io.StringIO("NOPE 1 1 1 1 2\n"))
+
+
+def test_checkpoint_rejects_trailing_data():
+    buf = io.StringIO()
+    save_checkpoint(tiny_model(1, 2, 3), buf)
+    with pytest.raises(ValueError, match="trailing"):
+        load_checkpoint(io.StringIO(buf.getvalue() + "4\n"))
