@@ -29,7 +29,6 @@ from .trainer import (
     train,
 )
 from .selftrain import (
-    CandidateSet,
     IterationReport,
     SelfTrainConfig,
     SelfTrainResult,

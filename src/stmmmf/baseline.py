@@ -120,12 +120,7 @@ def strip_overlap(y: SparseRatingMatrix, test: SparseRatingMatrix) -> SparseRati
     hit = y.contains(test.users, test.items)
     if not np.any(hit):
         return y
-    test_keys = test.observed_keys()
-    keep = ~np.isin(y.observed_keys(), test_keys)
-    return SparseRatingMatrix(
-        y.n_users, y.n_items, y.max_rating,
-        y.users[keep], y.items[keep], y.ratings[keep],
-    )
+    return y.select(~np.isin(y.observed_keys(), test.observed_keys()))
 
 
 def rounds_experiment(matrices, test: SparseRatingMatrix, cfg: BaselineConfig):

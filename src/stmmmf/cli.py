@@ -217,10 +217,11 @@ def cmd_gridsearch(args, parser) -> int:
     out = open(args.out, "w", newline="")
     out.write("lambda,tau1,s,mae,rmse\n")
     best = None
+    workers = min(args.workers, os.cpu_count() or 1)
     try:
         with ExitStack() as stack:
-            if args.workers > 1:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))
+            if workers > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
                 results = pool.map(_grid_cell, payloads)
             else:
                 results = map(_grid_cell, payloads)

@@ -56,11 +56,11 @@ class SparseRatingMatrix:
                 raise ValueError("item index out of range")
             if ratings.min() < 1 or ratings.max() > self.max_rating:
                 raise ValueError("rating outside 1..max_rating")
-        order = np.lexsort((items, users))
-        users, items, ratings = users[order], items[order], ratings[order]
         keys = users * self.n_items + items
-        if keys.size > 1 and np.any(np.diff(keys) == 0):
+        order = np.argsort(keys, kind="stable")
+        if np.any(np.diff(keys[order]) == 0):
             raise ValueError("duplicate (user, item) pair")
+        users, items, ratings = users[order], items[order], ratings[order]
         for arr in (users, items, ratings):
             arr.flags.writeable = False
         object.__setattr__(self, "users", users)
@@ -76,6 +76,9 @@ class SparseRatingMatrix:
         else:
             u = i = r = np.empty(0, dtype=np.int64)
         return cls(n_users, n_items, max_rating, u, i, r)
+
+    def __len__(self) -> int:
+        return self.n_observed
 
     @property
     def n_observed(self) -> int:
@@ -130,14 +133,11 @@ class SparseRatingMatrix:
         h.update(self.ratings.tobytes())
         return h.hexdigest()
 
-    def equals(self, other: "SparseRatingMatrix") -> bool:
-        return (
-            self.n_users == other.n_users
-            and self.n_items == other.n_items
-            and self.max_rating == other.max_rating
-            and np.array_equal(self.users, other.users)
-            and np.array_equal(self.items, other.items)
-            and np.array_equal(self.ratings, other.ratings)
+    def select(self, idx) -> "SparseRatingMatrix":
+        """The entries picked by an index array or boolean mask, same grid."""
+        return SparseRatingMatrix(
+            self.n_users, self.n_items, self.max_rating,
+            self.users[idx], self.items[idx], self.ratings[idx],
         )
 
 

@@ -120,12 +120,4 @@ def split(y: SparseRatingMatrix, train_frac: float, seed: int):
     order = np.random.default_rng(seed).permutation(n)
     take = np.zeros(n, dtype=bool)
     take[order[:n_train]] = True
-    train = SparseRatingMatrix(
-        y.n_users, y.n_items, y.max_rating,
-        y.users[take], y.items[take], y.ratings[take],
-    )
-    test = SparseRatingMatrix(
-        y.n_users, y.n_items, y.max_rating,
-        y.users[~take], y.items[~take], y.ratings[~take],
-    )
-    return train, test
+    return y.select(take), y.select(~take)

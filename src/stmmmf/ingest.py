@@ -7,6 +7,8 @@ the textual STMAT format.
 
 from __future__ import annotations
 
+import os
+import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -56,12 +58,29 @@ class PreprocessResult:
 @contextmanager
 def open_text(target, mode: str = "r"):
     """Open target as a text file if it is a path, closing it on exit;
-    any other target is taken as an open stream and yielded untouched."""
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+    any other target is taken as an open stream and yielded untouched.
+
+    A path opened with mode "w" is written through a temporary file in the
+    same directory, which replaces the target only when the block exits
+    cleanly; if the block raises, the temporary file is removed and the
+    target keeps its old content.
+    """
+    if not (isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")):
+        yield target
+    elif mode != "w":
         with open(target, mode) as stream:
             yield stream
     else:
-        yield target
+        path = os.fsdecode(target)
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+        stream = open(tmp, "x")
+        try:
+            with stream:
+                yield stream
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
 
 
 def _parse_delimited(source, delimiter: str, source_tag: str, max_rating: int = 5) -> RawRatings:
@@ -120,7 +139,9 @@ def preprocess(raw: RawRatings, min_ratings: int = 20, max_rating: int = 5) -> P
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0,
         )
     key = raw.user_ids * (raw.item_ids.max() + 1) + raw.item_ids
-    order = np.lexsort((np.arange(len(raw)), raw.timestamps, key))
+    # Two stable passes order entries by key, then timestamp, then file order.
+    order = np.argsort(raw.timestamps, kind="stable")
+    order = order[np.argsort(key[order], kind="stable")]
     key_sorted = key[order]
     last = np.r_[key_sorted[1:] != key_sorted[:-1], True]
     keep = order[last]

@@ -73,50 +73,6 @@ class SelfTrainConfig:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class CandidateSet:
-    """Unobserved cells with a confidently predicted rating, one per cell."""
-
-    users: np.ndarray
-    items: np.ndarray
-    ratings: np.ndarray
-    n_items: int
-    max_rating: int
-
-    def __post_init__(self):
-        # np.array (not asarray) so freezing never back-propagates to the caller
-        u = np.array(self.users, dtype=np.int64)
-        i = np.array(self.items, dtype=np.int64)
-        r = np.array(self.ratings, dtype=np.int64)
-        if not (u.shape == i.shape == r.shape) or u.ndim != 1:
-            raise ValueError("candidate arrays must be 1-D and equal length")
-        if u.size:
-            if r.min() < 1 or r.max() > self.max_rating:
-                raise ValueError("candidate rating outside the scale")
-            keys = u * self.n_items + i
-            if np.any(np.diff(np.sort(keys)) == 0):
-                raise ValueError("duplicate candidate cell")
-        for arr in (u, i, r):
-            arr.flags.writeable = False
-        object.__setattr__(self, "users", u)
-        object.__setattr__(self, "items", i)
-        object.__setattr__(self, "ratings", r)
-
-    def __len__(self) -> int:
-        return int(self.users.size)
-
-    def packed_triples(self) -> np.ndarray:
-        """Each (user, item, rating) folded into one int64 key."""
-        cell = self.users * self.n_items + self.items
-        return cell * (self.max_rating + 1) + self.ratings
-
-    def take(self, idx: np.ndarray) -> "CandidateSet":
-        return CandidateSet(
-            self.users[idx], self.items[idx], self.ratings[idx],
-            self.n_items, self.max_rating,
-        )
-
-
 @dataclass(frozen=True)
 class IterationReport:
     """Bookkeeping of one loop round.
@@ -172,9 +128,9 @@ class SelfTrainResult:
 
 def high_confidence_candidates(
     model: FactorModel, y: SparseRatingMatrix, tau_augment: float, block: int = 256
-) -> CandidateSet:
+) -> SparseRatingMatrix:
     """Unobserved cells whose score sits at least tau_augment average gaps
-    inside a rating interval.
+    inside a rating interval, as a matrix on y's grid rated with that level.
 
     The interval for rating r is (theta_{r-1} + g*tau, theta_r - g*tau)
     with g the user's average threshold gap and virtual sentinels at
@@ -206,11 +162,11 @@ def high_confidence_candidates(
         out_u.append(bu + start)
         out_i.append(bi)
         out_r.append(assigned[bu, bi])
-    return CandidateSet(
+    return SparseRatingMatrix(
+        y.n_users, y.n_items, y.max_rating,
         np.concatenate(out_u) if out_u else np.empty(0, np.int64),
         np.concatenate(out_i) if out_i else np.empty(0, np.int64),
         np.concatenate(out_r) if out_r else np.empty(0, np.int64),
-        y.n_items, y.max_rating,
     )
 
 
@@ -264,7 +220,7 @@ def _largest_remainder(quota: np.ndarray, total: int) -> np.ndarray:
     short = int(total - out.sum())
     rem = quota - np.floor(quota)
     # larger remainder first; ties favor the lower label index
-    order = np.lexsort((np.arange(quota.size), -rem))
+    order = np.argsort(-rem, kind="stable")
     if short > 0:
         out[order[:short]] += 1
     elif short < 0:
@@ -273,8 +229,8 @@ def _largest_remainder(quota: np.ndarray, total: int) -> np.ndarray:
 
 
 def sample_augment(
-    cands: CandidateSet, shares, sample_pct: float, cap: int, rng
-) -> CandidateSet:
+    cands: SparseRatingMatrix, shares, sample_pct: float, cap: int, rng
+) -> SparseRatingMatrix:
     """Skew-aware sample of the candidate set.
 
     Takes min(cap, floor(len(cands) * sample_pct / 100)) entries with
@@ -289,7 +245,7 @@ def sample_augment(
     n = len(cands)
     target = min(int(cap), int(np.floor(n * sample_pct / 100.0)))
     if target <= 0:
-        return cands.take(np.empty(0, dtype=np.int64))
+        return cands.select(np.empty(0, dtype=np.int64))
     n_levels = cands.max_rating
     supply = np.bincount(cands.ratings, minlength=n_levels + 1)[1:]
     take = np.minimum(skew_allocation(shares, target), supply)
@@ -307,7 +263,7 @@ def sample_augment(
         shortfall = left - int(add.sum())
         if shortfall > 0:
             rem = np.where(avail > add, frac - np.floor(frac), -1.0)
-            for idx in np.lexsort((np.arange(rem.size), -rem)):
+            for idx in np.argsort(-rem, kind="stable"):
                 if shortfall == 0:
                     break
                 room = int(avail[idx] - add[idx])
@@ -327,10 +283,10 @@ def sample_augment(
             pool_idx if k >= pool_idx.size else rng.choice(pool_idx, size=k, replace=False)
         )
     idx = np.sort(np.concatenate(chosen)) if chosen else np.empty(0, dtype=np.int64)
-    return cands.take(idx)
+    return cands.select(idx)
 
 
-def apply_augment(y: SparseRatingMatrix, selected: CandidateSet) -> SparseRatingMatrix:
+def apply_augment(y: SparseRatingMatrix, selected: SparseRatingMatrix) -> SparseRatingMatrix:
     """Insert the selected candidate triples as observed entries."""
     if len(selected) == 0:
         return y
@@ -353,14 +309,10 @@ def apply_refine(y: SparseRatingMatrix, removals) -> SparseRatingMatrix:
     if not np.all(y.contains(rem_users, rem_items)):
         raise ValueError("refinement targets an unobserved entry")
     rem_keys = np.unique(rem_users * y.n_items + rem_items)
-    keep = ~np.isin(y.observed_keys(), rem_keys)
-    return SparseRatingMatrix(
-        y.n_users, y.n_items, y.max_rating,
-        y.users[keep], y.items[keep], y.ratings[keep],
-    )
+    return y.select(~np.isin(y.observed_keys(), rem_keys))
 
 
-def overlap_stats(prev: CandidateSet, cur: CandidateSet):
+def overlap_stats(prev: SparseRatingMatrix, cur: SparseRatingMatrix):
     """Exact-triple overlap with the previous candidate set.
 
     Returns (overlap count, fraction of the previous set retained); the
@@ -368,10 +320,11 @@ def overlap_stats(prev: CandidateSet, cur: CandidateSet):
     """
     if len(prev) == 0:
         return 0, 0.0
-    # CandidateSet rejects duplicate cells, so both key arrays are unique.
-    overlap = int(np.intersect1d(
-        prev.packed_triples(), cur.packed_triples(), assume_unique=True
-    ).size)
+    # One int64 key per (user, item, rating) triple; matrices reject
+    # duplicate cells, so both key arrays are unique.
+    prev_keys = prev.observed_keys() * (prev.max_rating + 1) + prev.ratings
+    cur_keys = cur.observed_keys() * (cur.max_rating + 1) + cur.ratings
+    overlap = int(np.intersect1d(prev_keys, cur_keys, assume_unique=True).size)
     return overlap, overlap / len(prev)
 
 

@@ -55,6 +55,23 @@ def _observed_scores(model: FactorModel, y: SparseRatingMatrix) -> np.ndarray:
     )
 
 
+def _terms(model: FactorModel, y: SparseRatingMatrix, reg: float):
+    """Objective value, sign matrix T and hinge arguments z of every
+    (entry, threshold) term, each an (n_observed, R-1) matrix."""
+    model.check_matches(y)
+    if reg < 0:
+        raise ValueError("reg must be >= 0")
+    # Row k of the sign table holds T(r, k + 1) for r = 1..R-1; gathering
+    # row rating - 1 per entry gives the (n_observed, R-1) sign matrix.
+    signs = t_indicator(np.arange(1, y.max_rating), np.arange(1, y.max_rating + 1)[:, None])
+    t = np.take(signs, y.ratings - 1, axis=0)
+    x = _observed_scores(model, y)
+    z = t * (np.take(model.thresholds, y.users, axis=0) - x[:, None])
+    norms = np.sum(model.user_factors**2) + np.sum(model.item_factors**2)
+    value = float(smooth_hinge(z).sum() + 0.5 * reg * norms)
+    return value, t, z
+
+
 def loss_and_grad(model: FactorModel, y: SparseRatingMatrix, reg: float):
     """Regularized all-threshold hinge objective and its exact gradients.
 
@@ -65,18 +82,8 @@ def loss_and_grad(model: FactorModel, y: SparseRatingMatrix, reg: float):
     (value, (g_user, g_item, g_theta)); users or items with no observed
     ratings only receive the regularizer term (zero for thresholds).
     """
-    model.check_matches(y)
-    if reg < 0:
-        raise ValueError("reg must be >= 0")
+    value, t, z = _terms(model, y, reg)
     U, V = model.user_factors, model.item_factors
-    # Row k of the sign table holds T(r, k + 1) for r = 1..R-1; gathering
-    # row rating - 1 per entry gives the (n_observed, R-1) sign matrix.
-    signs = t_indicator(np.arange(1, y.max_rating), np.arange(1, y.max_rating + 1)[:, None])
-    t = np.take(signs, y.ratings - 1, axis=0)
-    x = _observed_scores(model, y)
-    z = t * (np.take(model.thresholds, y.users, axis=0) - x[:, None])
-    norms = np.sum(U**2) + np.sum(V**2)
-    value = float(smooth_hinge(z).sum() + 0.5 * reg * norms)
     coef = t * smooth_hinge_grad(z)
     # Entries are sorted by (user, item), so each user's entries form one
     # CSR row and the row pointer is the running count of entries per user.
@@ -92,7 +99,7 @@ def loss_and_grad(model: FactorModel, y: SparseRatingMatrix, reg: float):
 
 def objective(model: FactorModel, y: SparseRatingMatrix, reg: float) -> float:
     """Regularized all-threshold hinge objective (see loss_and_grad)."""
-    return loss_and_grad(model, y, reg)[0]
+    return _terms(model, y, reg)[0]
 
 
 def compute_gradients(model: FactorModel, y: SparseRatingMatrix, reg: float):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from stmmmf import cli
 from stmmmf.cli import DEFAULT_LAMBDA_GRID, DEFAULT_TAU1_GRID, main
 from stmmmf.core import FactorModel, SparseRatingMatrix
 from stmmmf.evaluation import split
@@ -161,7 +162,7 @@ def test_selftrain_snapshots(toy_files):
     assert run(args) == 0
     snaps = sorted((tmp_path / "run" / "snapshots").glob("round_*.stmat"))
     assert [s.name for s in snaps] == ["round_000.stmat", "round_001.stmat", "round_002.stmat"]
-    assert load_matrix(snaps[0]).equals(load_matrix(train_path))
+    assert load_matrix(snaps[0]).content_hash() == load_matrix(train_path).content_hash()
 
 
 def test_selftrain_malformed_matrix_is_an_error_line(toy_files, capsys):
@@ -279,6 +280,34 @@ def test_gridsearch_workers_match_serial(toy_files):
     assert run(grid_args(train_path, pooled, *grid, "--workers", "2")) == 0
     assert len(serial.read_text().splitlines()) == 3
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_gridsearch_workers_clamped_to_cpu_count(toy_files, monkeypatch):
+    tmp_path, train_path, _ = toy_files
+    pools = []
+
+    class SerialPool:
+        """Records its size and maps in this process; starts no worker."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    out = tmp_path / "grid.csv"
+    grid = ["--lambda-grid", "0.2", "--tau1-grid", "30", "--s-grid", "100"]
+    assert run(grid_args(train_path, out, *grid, "--workers", "4096")) == 0
+    assert pools == [3]
+    assert len(out.read_text().splitlines()) == 2
 
 
 # ------------------------------------------------------------ baseline rounds

@@ -8,6 +8,7 @@ from stmmmf.ingest import (
     ParseError,
     RawRatings,
     load_matrix,
+    open_text,
     parse_ml100k,
     parse_ml1m,
     preprocess,
@@ -111,7 +112,7 @@ def test_preprocess_idempotent():
         for u, i, r in zip(y.users, y.items, y.ratings)
     ]
     second = preprocess(raw(again_rows), min_ratings=10)
-    assert second.matrix.equals(y)
+    assert second.matrix.content_hash() == y.content_hash()
 
 
 def test_preprocess_roundtrip_through_text():
@@ -122,7 +123,7 @@ def test_preprocess_roundtrip_through_text():
         for u, i, r in zip(result.matrix.users, result.matrix.items, result.matrix.ratings)
     )
     reparsed = preprocess(parse_ml100k(io.StringIO(text + "\n")), min_ratings=0)
-    assert reparsed.matrix.equals(result.matrix)
+    assert reparsed.matrix.content_hash() == result.matrix.content_hash()
 
 
 # ------------------------------------------------------------------- matrices
@@ -134,7 +135,7 @@ def test_matrix_roundtrip_identity():
     buf = io.StringIO()
     save_matrix(y, buf)
     buf.seek(0)
-    assert load_matrix(buf).equals(y)
+    assert load_matrix(buf).content_hash() == y.content_hash()
 
 
 def test_matrix_roundtrip_empty():
@@ -153,6 +154,18 @@ def test_matrix_header_and_sorted_body(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "STMAT 1 3 4 5 2"
     assert lines[1] == "0 3 1" and lines[2] == "2 1 4"
+
+
+def test_write_that_raises_keeps_old_file(tmp_path):
+    path = tmp_path / "y.stmat"
+    save_matrix(SparseRatingMatrix.from_triples(3, 4, 5, [(2, 1, 4)]), path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        with open_text(path, "w") as stream:
+            stream.write("STMAT 1 9 9 5 1\n")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["y.stmat"]
 
 
 def test_matrix_count_mismatch_rejected():

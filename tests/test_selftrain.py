@@ -4,7 +4,6 @@ import pytest
 from stmmmf.core import FactorModel, SparseRatingMatrix, discretize
 from stmmmf.evaluation import split
 from stmmmf.selftrain import (
-    CandidateSet,
     SelfTrainConfig,
     apply_augment,
     apply_refine,
@@ -36,7 +35,7 @@ def cands(triples, n_items=10, max_rating=5):
         u, i, r = (np.array(c) for c in zip(*triples))
     else:
         u = i = r = np.empty(0, dtype=np.int64)
-    return CandidateSet(u, i, r, n_items, max_rating)
+    return SparseRatingMatrix(10, n_items, max_rating, u, i, r)
 
 
 # ------------------------------------------------------------ candidate bands
@@ -44,6 +43,7 @@ def cands(triples, n_items=10, max_rating=5):
 def test_high_confidence_band_examples():
     model, y = band_model([2.5, 2.1, 0.0])
     got = high_confidence_candidates(model, y, 0.25)
+    assert (got.n_users, got.n_items, got.max_rating) == (y.n_users, y.n_items, y.max_rating)
     found = {(u, i): r for u, i, r in zip(got.users, got.items, got.ratings)}
     assert found[(0, 0)] == 3      # 2.25 < 2.5 < 2.75
     assert (0, 1) not in found     # 2.1 <= 2.25
