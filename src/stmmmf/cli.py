@@ -19,24 +19,13 @@ import numpy as np
 
 from .baseline import BaselineConfig, rounds_experiment, strip_overlap
 from .evaluation import confusion, hr_table, snapshot, split
-from .ingest import (
-    ParseError,
-    load_matrix,
-    parse_ml100k,
-    parse_ml1m,
-    preprocess,
-    save_matrix,
-)
+from .ingest import load_matrix, open_text, parse_ml100k, parse_ml1m, preprocess, save_matrix
 from .selftrain import REPORT_CSV_COLUMNS, SelfTrainConfig, selftrain_loop
-from .trainer import load_checkpoint, predict_ratings, save_checkpoint
+from .trainer import TrainingDivergedError, load_checkpoint, predict_ratings, save_checkpoint
 
 DEFAULT_LAMBDA_GRID = [10 ** (i / 16) for i in range(1, 41, 4)]
 DEFAULT_TAU1_GRID = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 49.99]
 DEFAULT_S_GRID = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0]
-
-
-def _default_out_dir() -> str:
-    return os.environ.get("STMMMF_OUT_DIR", ".")
 
 
 def _fail(message: str) -> int:
@@ -44,15 +33,9 @@ def _fail(message: str) -> int:
     return 1
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args, parser) -> int:
     parse = {"ml100k": parse_ml100k, "ml1m": parse_ml1m}[args.flavor]
-    if not os.path.exists(args.input):
-        return _fail(f"input file not found: {args.input}")
-    try:
-        raw = parse(args.input)
-        result = preprocess(raw, min_ratings=args.min_ratings)
-    except ParseError as exc:
-        return _fail(str(exc))
+    result = preprocess(parse(args.input), min_ratings=args.min_ratings)
     y = result.matrix
     save_matrix(y, args.out)
     print(f"{y.n_users} {y.n_items} {y.max_rating} {y.n_observed}")
@@ -62,13 +45,10 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_split(args) -> int:
-    if not os.path.exists(args.input):
-        return _fail(f"input file not found: {args.input}")
-    try:
-        y = load_matrix(args.input)
-    except ValueError as exc:
-        return _fail(str(exc))
+def cmd_split(args, parser) -> int:
+    if not 0.0 < args.frac < 1.0:
+        parser.error("--frac must lie strictly between 0 and 1")
+    y = load_matrix(args.input)
     train, test = split(y, args.frac, args.seed)
     save_matrix(train, args.train_out)
     save_matrix(test, args.test_out)
@@ -101,13 +81,8 @@ def cmd_selftrain(args, parser) -> int:
         args, parser, reg=args.reg, tau_augment=args.tau1 / 100.0,
         sample_pct=args.sample_pct, patience=args.patience,
     )
-    if not os.path.exists(args.input):
-        return _fail(f"input file not found: {args.input}")
-    try:
-        y = load_matrix(args.input)
-        test = load_matrix(args.test) if args.test else None
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    y = load_matrix(args.input)
+    test = load_matrix(args.test) if args.test else None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(
@@ -144,14 +119,11 @@ def cmd_selftrain(args, parser) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    try:
-        model = load_checkpoint(args.checkpoint)
-        test = load_matrix(args.test)
-        model.check_matches(test)
-        train = load_matrix(args.train) if args.train else None
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+def cmd_evaluate(args, parser) -> int:
+    model = load_checkpoint(args.checkpoint)
+    test = load_matrix(args.test)
+    model.check_matches(test)
+    train = load_matrix(args.train) if args.train else None
     preds = predict_ratings(model, test.users, test.items, trained_on=train)
     pairs = np.column_stack([test.ratings, preds])
     metrics = snapshot(pairs)
@@ -197,6 +169,8 @@ def _grid_cell(payload):
 def cmd_gridsearch(args, parser) -> int:
     if not 0.0 < args.val_frac < 1.0:
         parser.error("val-frac must lie in (0, 1)")
+    if args.runs < 1:
+        parser.error("runs must be >= 1")
     lambdas = _parse_grid(args.lambda_grid, DEFAULT_LAMBDA_GRID, parser)
     tau1s = _parse_grid(args.tau1_grid, DEFAULT_TAU1_GRID, parser)
     ss = _parse_grid(args.s_grid, DEFAULT_S_GRID, parser)
@@ -207,12 +181,7 @@ def cmd_gridsearch(args, parser) -> int:
         _selftrain_config(args, parser, reg=lam, tau_augment=tau1 / 100.0, sample_pct=s)
         for lam, tau1, s in cells
     ]
-    if not os.path.exists(args.input):
-        return _fail(f"input file not found: {args.input}")
-    try:
-        y = load_matrix(args.input)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    y = load_matrix(args.input)
     payloads = [(y, cfg, args.runs, args.val_frac) for cfg in configs]
     out = open(args.out, "w", newline="")
     out.write("lambda,tau1,s,mae,rmse\n")
@@ -239,7 +208,7 @@ def cmd_gridsearch(args, parser) -> int:
     return 0
 
 
-def cmd_baseline_rounds(args) -> int:
+def cmd_baseline_rounds(args, parser) -> int:
     snap_dir = Path(args.snapshots)
     files = sorted(snap_dir.glob("round_*.stmat"))
     if not files:
@@ -247,24 +216,19 @@ def cmd_baseline_rounds(args) -> int:
             f"no round_*.stmat snapshots in {snap_dir}; "
             "run `stmmmf selftrain --snapshot-every 1` first"
         )
-    try:
-        test = load_matrix(args.test)
-        matrices = [strip_overlap(load_matrix(f), test) for f in files]
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    test = load_matrix(args.test)
+    matrices = [strip_overlap(load_matrix(f), test) for f in files]
     cfg = BaselineConfig(
         n_factors=args.dim, reg=args.reg, epochs=args.epochs,
         lr=args.lr, seed=args.seed,
     )
     snapshots = rounds_experiment(matrices, test, cfg)
-    with open(args.out, "w", newline="") as out:
+    with open_text(args.out, "w") as out:
         out.write("round,mae,rmse\n")
         for path, metrics in zip(files, snapshots):
             round_no = int(path.stem.split("_")[1])
             out.write(f"{round_no},{metrics.mae:.6f},{metrics.rmse:.6f}\n")
-    for path, metrics in zip(files, snapshots):
-        round_no = int(path.stem.split("_")[1])
-        print(f"round {round_no}: mae {metrics.mae:.6f} rmse {metrics.rmse:.6f}")
+            print(f"round {round_no}: mae {metrics.mae:.6f} rmse {metrics.rmse:.6f}")
     return 0
 
 
@@ -273,70 +237,67 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stmmmf",
         description="Margin factorization with self-training augmentation",
     )
+    out_dir = Path(os.environ.get("STMMMF_OUT_DIR", "."))
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # The input and loop flags selftrain and gridsearch share.
+    loop = argparse.ArgumentParser(add_help=False)
+    loop.add_argument("input")
+    loop.add_argument("--dim", type=int, default=10)
+    loop.add_argument("--lr", type=float, default=0.002)
+    loop.add_argument("--gd-iters", type=int, default=150)
+    loop.add_argument("--tol", type=float, default=1e-5)
+    loop.add_argument("--tau2", type=float, default=10.0,
+                      help="refinement band half-width, percent of the average gap")
+    loop.add_argument("--cap", type=int, default=5000)
+    loop.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("ingest", help="parse a rating file into an STMAT matrix")
     p.add_argument("input")
     p.add_argument("--flavor", choices=["ml100k", "ml1m"], default="ml100k")
     p.add_argument("--out", required=True)
     p.add_argument("--min-ratings", type=int, default=20)
-    p.set_defaults(func=lambda a: cmd_ingest(a))
+    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("split", help="seeded train/test partition of a matrix")
     p.add_argument("input")
     p.add_argument("--frac", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-out", default=None)
-    p.add_argument("--test-out", default=None)
-    p.set_defaults(func=lambda a: cmd_split(a))
+    p.add_argument("--train-out", default=str(out_dir / "train.stmat"))
+    p.add_argument("--test-out", default=str(out_dir / "test.stmat"))
+    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("selftrain", help="run the augment-and-refine loop")
-    p.add_argument("input")
+    p = sub.add_parser("selftrain", parents=[loop], help="run the augment-and-refine loop")
     p.add_argument("--test", default=None)
-    p.add_argument("--dim", type=int, default=10)
     p.add_argument("--lambda", dest="reg", type=float, default=15.0)
-    p.add_argument("--lr", type=float, default=0.002)
-    p.add_argument("--gd-iters", type=int, default=150)
-    p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--tau1", type=float, default=49.99,
                    help="augmentation band shift, percent of the average gap")
-    p.add_argument("--tau2", type=float, default=10.0,
-                   help="refinement band half-width, percent of the average gap")
     p.add_argument("--sample-pct", type=float, default=100.0)
-    p.add_argument("--cap", type=int, default=5000)
     p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--out-dir", default=_default_out_dir())
+    p.add_argument("--out-dir", default=str(out_dir))
     p.add_argument("--snapshot-every", type=int, default=0)
-    p.set_defaults(needs_parser=True, func=cmd_selftrain)
+    p.set_defaults(func=cmd_selftrain)
 
     p = sub.add_parser("evaluate", help="score a checkpoint against a matrix")
     p.add_argument("checkpoint")
     p.add_argument("--test", required=True)
     p.add_argument("--train", default=None,
                    help="training matrix for the cold-user fallback")
-    p.set_defaults(func=lambda a: cmd_evaluate(a))
+    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("gridsearch", help="sweep lambda, tau1, and sample percent")
-    p.add_argument("input")
+    p = sub.add_parser("gridsearch", parents=[loop],
+                       help="sweep lambda, tau1, and sample percent")
     p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--val-frac", type=float, default=0.1)
-    p.add_argument("--dim", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.002)
-    p.add_argument("--gd-iters", type=int, default=150)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--tau2", type=float, default=10.0)
-    p.add_argument("--cap", type=int, default=5000)
     p.add_argument("--iters", type=int, default=3)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--lambda-grid", default=None,
                    help="comma-separated values overriding the default grid")
     p.add_argument("--tau1-grid", default=None)
     p.add_argument("--s-grid", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(needs_parser=True, func=cmd_gridsearch)
+    p.add_argument("--out", default=str(out_dir / "gridsearch.csv"))
+    p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("baseline-rounds",
                        help="retrain the biased-MF baseline on saved snapshots")
@@ -347,28 +308,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=lambda a: cmd_baseline_rounds(a))
+    p.add_argument("--out", default=str(out_dir / "baseline_rounds.csv"))
+    p.set_defaults(func=cmd_baseline_rounds)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command; a bad file, bad data or a diverged solve prints one
+    `error:` line and returns 1, a usage error exits with 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "split":
-        if not 0.0 < args.frac < 1.0:
-            parser.error("--frac must lie strictly between 0 and 1")
-        base = Path(_default_out_dir())
-        args.train_out = args.train_out or str(base / "train.stmat")
-        args.test_out = args.test_out or str(base / "test.stmat")
-    if args.command == "gridsearch" and args.out is None:
-        args.out = str(Path(_default_out_dir()) / "gridsearch.csv")
-    if args.command == "baseline-rounds" and args.out is None:
-        args.out = str(Path(_default_out_dir()) / "baseline_rounds.csv")
-    if getattr(args, "needs_parser", False):
+    try:
         return args.func(args, parser)
-    return args.func(args)
+    except FileNotFoundError as exc:
+        return _fail(f"file not found: {exc.filename}")
+    except (OSError, ValueError, TrainingDivergedError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -73,7 +73,11 @@ def open_text(target, mode: str = "r"):
     else:
         path = os.fsdecode(target)
         tmp = f"{path}.{uuid.uuid4().hex}.tmp"
-        stream = open(tmp, "x")
+        try:
+            stream = open(tmp, "x")
+        except OSError as exc:
+            exc.filename = path  # name the target, not the temporary file
+            raise
         try:
             with stream:
                 yield stream

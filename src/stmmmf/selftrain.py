@@ -53,6 +53,8 @@ class SelfTrainConfig:
     patience: int = 5
 
     def __post_init__(self):
+        if self.n_factors < 1:
+            raise ValueError("n_factors must be >= 1")
         if not 0.0 < self.tau_refine < self.tau_augment < 0.5:
             raise ValueError("need 0 < tau_refine < tau_augment < 0.5")
         if not 0.0 < self.sample_pct <= 100.0:
@@ -250,29 +252,23 @@ def sample_augment(
     supply = np.bincount(cands.ratings, minlength=n_levels + 1)[1:]
     take = np.minimum(skew_allocation(shares, target), supply)
     left = target - int(take.sum())
-    while left > 0:
+    if left > 0:
+        # target <= supply.sum(), so avail.sum() >= left: the floored shares
+        # plus one pass over the labels with room fill the whole shortfall.
         avail = supply - take
-        pool = int(avail.sum())
-        if pool <= 0:
-            break
-        if left >= pool:
-            take += avail
-            break
-        frac = left * avail / pool
-        add = np.minimum(np.floor(frac).astype(np.int64), avail)
+        frac = left * avail / int(avail.sum())
+        add = np.floor(frac).astype(np.int64)
         shortfall = left - int(add.sum())
-        if shortfall > 0:
-            rem = np.where(avail > add, frac - np.floor(frac), -1.0)
-            for idx in np.argsort(-rem, kind="stable"):
-                if shortfall == 0:
-                    break
-                room = int(avail[idx] - add[idx])
-                if room > 0 and rem[idx] >= 0.0:
-                    inc = min(room, shortfall)
-                    add[idx] += inc
-                    shortfall -= inc
+        rem = np.where(avail > add, frac - add, -1.0)
+        for idx in np.argsort(-rem, kind="stable"):
+            if shortfall == 0:
+                break
+            room = int(avail[idx] - add[idx])
+            if room > 0:
+                inc = min(room, shortfall)
+                add[idx] += inc
+                shortfall -= inc
         take += add
-        left = target - int(take.sum())
     chosen = []
     for level in range(1, n_levels + 1):
         k = int(take[level - 1])

@@ -156,6 +156,13 @@ def test_selftrain_rejects_bad_tau(toy_files):
     assert not (tmp_path / "run").exists()  # validated before any output
 
 
+def test_selftrain_zero_dim_is_usage_error(toy_files):
+    tmp_path, train_path, test_path = toy_files
+    with pytest.raises(SystemExit):
+        run(selftrain_args(tmp_path, train_path, test_path, dim="0"))
+    assert not (tmp_path / "run").exists()
+
+
 def test_selftrain_snapshots(toy_files):
     tmp_path, train_path, test_path = toy_files
     args = selftrain_args(tmp_path, train_path, test_path) + ["--snapshot-every", "1"]
@@ -263,6 +270,8 @@ def grid_args(train_path, out, *extra):
     ["--lambda-grid", ""],            # no cells
     ["--lambda-grid", "0.2,x"],       # not a number
     ["--tau1-grid", "30,5"],          # tau1 5 is below tau2 10
+    ["--tau1-grid", "30", "--dim", "0"],
+    ["--tau1-grid", "30", "--runs", "0"],
 ])
 def test_gridsearch_bad_grid_is_usage_error(toy_files, grid):
     tmp_path, train_path, _ = toy_files
@@ -334,3 +343,36 @@ def test_baseline_rounds_single_snapshot(toy_files, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "round,mae,rmse"
     assert len(lines) == 2 and lines[1].startswith("0,")
+
+
+# ------------------------------------------------------------- error boundary
+
+@pytest.mark.parametrize("argv, named", [
+    (["ingest", "{dir}", "--out", "{dir}/y.stmat"], "{dir}"),
+    (["split", "{dir}", "--train-out", "{dir}/t.stmat", "--test-out", "{dir}/e.stmat"],
+     "{dir}"),
+    (["ingest", "{ratings}", "--out", "{dir}/nodir/y.stmat"], "{dir}/nodir/y.stmat"),
+    (["split", "{train}", "--train-out", "{dir}/nodir/t.stmat",
+      "--test-out", "{dir}/e.stmat"], "{dir}/nodir/t.stmat"),
+    (["selftrain", "{train}", "--out-dir", "{train}"], "{train}"),
+    (["evaluate", "{ckpt}", "--test", "{dir}/missing.stmat"], "{dir}/missing.stmat"),
+    (["baseline-rounds", "{snaps}", "--test", "{dir}/missing.stmat"],
+     "{dir}/missing.stmat"),
+], ids=["ingest-dir", "split-dir", "ingest-out-nodir", "split-out-nodir",
+        "selftrain-out-dir-file", "evaluate-no-test", "baseline-no-test"])
+def test_bad_input_is_one_error_line(toy_files, capsys, argv, named):
+    tmp_path, train_path, _ = toy_files
+    ratings = tmp_path / "u.data"
+    ratings.write_text("1\t10\t3\t100\n")
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    save_matrix(load_matrix(train_path), snaps / "round_000.stmat")
+    ckpt = tmp_path / "m.stmmmf"
+    y = load_matrix(train_path)
+    save_checkpoint(FactorModel(np.zeros((y.n_users, 1)), np.zeros((y.n_items, 1)),
+                                np.zeros((y.n_users, y.max_rating - 1))), ckpt)
+    paths = dict(dir=tmp_path, ratings=ratings, train=train_path, ckpt=ckpt, snaps=snaps)
+    assert run([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert err[0].rstrip("'").endswith(named.format(**paths))  # the user's path
