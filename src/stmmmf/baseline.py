@@ -44,6 +44,27 @@ def _loss(y, mu, bu, bi, p, q, reg):
     )
 
 
+def _add_at(index, *updates):
+    """np.add.at(target, index, values) for each (target, values) pair,
+    with the same bits.
+
+    Positions are applied in layers: layer k holds the k-th occurrence of
+    every index, so its indices are distinct and a plain fancy-index add
+    is exact, and repeated indices still add in batch order, as
+    np.add.at does.
+    """
+    order = np.argsort(index, kind="stable")
+    ranked = index[order]
+    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    slot = np.arange(index.size)
+    rank = slot - np.maximum.accumulate(np.where(first, slot, 0))
+    layers = np.split(order[np.argsort(rank, kind="stable")], np.cumsum(np.bincount(rank))[:-1])
+    for pos in layers:
+        at = index[pos]
+        for target, values in updates:
+            target[at] += values[pos]
+
+
 def train_baseline(y: SparseRatingMatrix, cfg: BaselineConfig) -> BaselineModel:
     """Fit by shuffled mini-batch gradient passes, deterministic per seed.
 
@@ -68,10 +89,10 @@ def train_baseline(y: SparseRatingMatrix, cfg: BaselineConfig) -> BaselineModel:
             uu, ii = y.users[batch], y.items[batch]
             pu, qi = p[uu], q[ii]
             err = y.ratings[batch] - (mu + bu[uu] + bi[ii] + np.einsum("ij,ij->i", pu, qi))
-            np.add.at(bu, uu, lr * (err - cfg.reg * bu[uu]))
-            np.add.at(bi, ii, lr * (err - cfg.reg * bi[ii]))
-            np.add.at(p, uu, lr * (err[:, None] * qi - cfg.reg * pu))
-            np.add.at(q, ii, lr * (err[:, None] * pu - cfg.reg * qi))
+            _add_at(uu, (bu, lr * (err - cfg.reg * bu[uu])),
+                    (p, lr * (err[:, None] * qi - cfg.reg * pu)))
+            _add_at(ii, (bi, lr * (err - cfg.reg * bi[ii])),
+                    (q, lr * (err[:, None] * pu - cfg.reg * qi)))
         loss = _loss(y, mu, bu, bi, p, q, cfg.reg)
         if not np.isfinite(loss):
             raise TrainingDivergedError("baseline loss is not finite")

@@ -82,6 +82,8 @@ def cmd_selftrain(args, parser) -> int:
         sample_pct=args.sample_pct, patience=args.patience,
     )
     y = load_matrix(args.input)
+    if y.n_observed == 0:
+        return _fail(f"no ratings to train on in {args.input}")
     test = load_matrix(args.test) if args.test else None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=["ml100k", "ml1m"], default="ml100k")
     p.add_argument("--out", required=True)
     p.add_argument("--min-ratings", type=int, default=20)
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_ingest, parser=p)
 
     p = sub.add_parser("split", help="seeded train/test partition of a matrix")
     p.add_argument("input")
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-out", default=str(out_dir / "train.stmat"))
     p.add_argument("--test-out", default=str(out_dir / "test.stmat"))
-    p.set_defaults(func=cmd_split)
+    p.set_defaults(func=cmd_split, parser=p)
 
     p = sub.add_parser("selftrain", parents=[loop], help="run the augment-and-refine loop")
     p.add_argument("--test", default=None)
@@ -277,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=5)
     p.add_argument("--out-dir", default=str(out_dir))
     p.add_argument("--snapshot-every", type=int, default=0)
-    p.set_defaults(func=cmd_selftrain)
+    p.set_defaults(func=cmd_selftrain, parser=p)
 
     p = sub.add_parser("evaluate", help="score a checkpoint against a matrix")
     p.add_argument("checkpoint")
     p.add_argument("--test", required=True)
     p.add_argument("--train", default=None,
                    help="training matrix for the cold-user fallback")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, parser=p)
 
     p = sub.add_parser("gridsearch", parents=[loop],
                        help="sweep lambda, tau1, and sample percent")
@@ -297,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau1-grid", default=None)
     p.add_argument("--s-grid", default=None)
     p.add_argument("--out", default=str(out_dir / "gridsearch.csv"))
-    p.set_defaults(func=cmd_gridsearch)
+    p.set_defaults(func=cmd_gridsearch, parser=p)
 
     p = sub.add_parser("baseline-rounds",
                        help="retrain the biased-MF baseline on saved snapshots")
@@ -309,18 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=str(out_dir / "baseline_rounds.csv"))
-    p.set_defaults(func=cmd_baseline_rounds)
+    p.set_defaults(func=cmd_baseline_rounds, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command; a bad file, bad data or a diverged solve prints one
-    `error:` line and returns 1, a usage error exits with 2."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    `error:` line and returns 1, a usage error exits with 2 after the
+    command's usage."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except FileNotFoundError as exc:
         return _fail(f"file not found: {exc.filename}")
     except (OSError, ValueError, TrainingDivergedError) as exc:

@@ -5,10 +5,20 @@ gradients for the user factors, item factors, and thresholds in one pass
 over every (entry, threshold) term, and runs a monotone descent loop with
 backtracking step control.  Also provides full-matrix completion and the
 textual checkpoint format.
+
+A solve builds one HingeLoss from the training matrix and the
+regularizer.  It holds what the matrix fixes: the sign matrix of every
+term, the per-user entry counts, the term buffers and, from the first
+gradient call on, the two CSR matrices (user-by-entry, and user-by-item
+with its transpose).  Each call computes only what depends on the model:
+the gathered score and threshold rows, the hinge value and coefficients
+of every term in place, the per-entry weights written into the CSR data,
+and three sparse products.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +29,6 @@ from .core import (
     Hyperparams,
     SparseRatingMatrix,
     discretize_rows,
-    smooth_hinge,
-    smooth_hinge_grad,
     t_indicator,
 )
 from .ingest import open_text
@@ -47,64 +55,97 @@ class TrainTrace:
     order_violations: int
 
 
-def _observed_scores(model: FactorModel, y: SparseRatingMatrix) -> np.ndarray:
-    return np.einsum(
-        "ij,ij->i",
-        np.take(model.user_factors, y.users, axis=0),
-        np.take(model.item_factors, y.items, axis=0),
-    )
-
-
-def _terms(model: FactorModel, y: SparseRatingMatrix, reg: float):
-    """Objective value, sign matrix T and hinge arguments z of every
-    (entry, threshold) term, each an (n_observed, R-1) matrix."""
-    model.check_matches(y)
-    if reg < 0:
-        raise ValueError("reg must be >= 0")
-    # Row k of the sign table holds T(r, k + 1) for r = 1..R-1; gathering
-    # row rating - 1 per entry gives the (n_observed, R-1) sign matrix.
-    signs = t_indicator(np.arange(1, y.max_rating), np.arange(1, y.max_rating + 1)[:, None])
-    t = np.take(signs, y.ratings - 1, axis=0)
-    x = _observed_scores(model, y)
-    z = t * (np.take(model.thresholds, y.users, axis=0) - x[:, None])
-    norms = np.sum(model.user_factors**2) + np.sum(model.item_factors**2)
-    value = float(smooth_hinge(z).sum() + 0.5 * reg * norms)
-    return value, t, z
-
-
-def loss_and_grad(model: FactorModel, y: SparseRatingMatrix, reg: float):
-    """Regularized all-threshold hinge objective and its exact gradients.
+class HingeLoss:
+    """Regularized all-threshold hinge objective of one fixed matrix y.
 
     The objective sums smooth_hinge(T * (theta_r - x)) over every observed
     entry and every threshold level r, plus reg/2 times the squared
-    Frobenius norms of the factor matrices.  All (entry, threshold) terms
-    are evaluated as one (n_observed, R-1) matrix.  Returns
-    (value, (g_user, g_item, g_theta)); users or items with no observed
-    ratings only receive the regularizer term (zero for thresholds).
+    Frobenius norms of the factor matrices.  What depends only on y is
+    built once per object, so a solve builds one and calls it per model.
     """
-    value, t, z = _terms(model, y, reg)
-    U, V = model.user_factors, model.item_factors
-    coef = t * smooth_hinge_grad(z)
-    # Entries are sorted by (user, item), so each user's entries form one
-    # CSR row and the row pointer is the running count of entries per user.
-    n = y.n_observed
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(y.users, minlength=y.n_users))))
-    by_user = sparse.csr_matrix((np.ones(n), np.arange(n), indptr), shape=(y.n_users, n))
-    # sum(axis=1) adds each entry's terms in threshold order (einsum does
-    # not), so the weights equal the per-threshold reference bit for bit.
-    w = sparse.csr_matrix((coef.sum(axis=1), y.items, indptr), shape=(y.n_users, y.n_items))
-    grads = (reg * U - w @ V, reg * V - w.T @ U, by_user @ coef)
-    return value, grads
+
+    def __init__(self, y: SparseRatingMatrix, reg: float):
+        if reg < 0:
+            raise ValueError("reg must be >= 0")
+        self.y, self.reg = y, reg
+        # Row k of the sign table holds T(r, k + 1) for r = 1..R-1; gathering
+        # row rating - 1 per entry gives the sign matrix.
+        signs = t_indicator(np.arange(1, y.max_rating), np.arange(1, y.max_rating + 1)[:, None])
+        self._t = np.take(signs.astype(np.float64), y.ratings - 1, axis=0)
+        self._counts = y.user_counts()
+        self._c = np.empty_like(self._t)
+        self._h = np.empty_like(self._t)
+
+    @functools.cached_property
+    def _csr(self):
+        """(w, w.T, by_user), built on the first gradient call, so that the
+        objective alone never builds them; w.T shares w's data."""
+        y, n = self.y, self.y.n_observed
+        # Entries are sorted by (user, item), so each user's entries form one
+        # CSR row and the row pointer is the running count of entries per user.
+        indptr = np.concatenate(([0], np.cumsum(self._counts)))
+        by_user = sparse.csr_matrix((np.ones(n), np.arange(n), indptr), shape=(y.n_users, n))
+        w = sparse.csr_matrix((np.zeros(n), y.items, indptr), shape=(y.n_users, y.n_items))
+        return w, w.T, by_user
+
+    def _terms(self, model: FactorModel):
+        """Objective value and c = clip(z, 0, 1) of every term's hinge
+        argument z; c lives in a buffer the next call overwrites."""
+        model.check_matches(self.y)
+        U, V, y = model.user_factors, model.item_factors, self.y
+        # Gathering rows by per-user counts gives the np.take(·, y.users)
+        # values, because entries are sorted by user.
+        x = np.einsum("ij,ij->i", np.repeat(U, self._counts, axis=0), np.take(V, y.items, axis=0))
+        z = np.repeat(model.thresholds, self._counts, axis=0)
+        z -= x[:, None]
+        z *= self._t
+        c = np.clip(z, 0.0, 1.0, out=self._c)
+        # smooth_hinge(z) = 0.5 * (1 - c)^2 - min(z, 0), in the same order.
+        h = np.subtract(1.0, c, out=self._h)
+        np.square(h, out=h)
+        h *= 0.5
+        h -= np.minimum(z, 0.0, out=z)
+        norms = np.sum(U**2) + np.sum(V**2)
+        return float(h.sum() + 0.5 * self.reg * norms), c
+
+    def value(self, model: FactorModel) -> float:
+        """The objective alone, without building gradients."""
+        return self._terms(model)[0]
+
+    def __call__(self, model: FactorModel):
+        """(value, (g_user, g_item, g_theta)); users or items with no
+        observed ratings only receive the regularizer term (zero for
+        thresholds)."""
+        value, c = self._terms(model)
+        # smooth_hinge_grad(z) = c - 1, scaled by the sign of each term.
+        coef = c
+        coef -= 1.0
+        coef *= self._t
+        # Each entry's weight adds its terms in threshold order from 0.0,
+        # like the per-threshold reference loop.
+        w, w_t, by_user = self._csr
+        weights = w.data
+        weights.fill(0.0)
+        for column in coef.T:
+            weights += column
+        U, V, reg = model.user_factors, model.item_factors, self.reg
+        return value, (reg * U - w @ V, reg * V - w_t @ U, by_user @ coef)
+
+
+def loss_and_grad(model: FactorModel, y: SparseRatingMatrix, reg: float):
+    """Regularized all-threshold hinge objective and its exact gradients,
+    (value, (g_user, g_item, g_theta)); see HingeLoss."""
+    return HingeLoss(y, reg)(model)
 
 
 def objective(model: FactorModel, y: SparseRatingMatrix, reg: float) -> float:
-    """Regularized all-threshold hinge objective (see loss_and_grad)."""
-    return _terms(model, y, reg)[0]
+    """Regularized all-threshold hinge objective (see HingeLoss)."""
+    return HingeLoss(y, reg).value(model)
 
 
 def compute_gradients(model: FactorModel, y: SparseRatingMatrix, reg: float):
-    """Exact (g_user, g_item, g_theta) of the objective (see loss_and_grad)."""
-    return loss_and_grad(model, y, reg)[1]
+    """Exact (g_user, g_item, g_theta) of the objective (see HingeLoss)."""
+    return HingeLoss(y, reg)(model)[1]
 
 
 def gd_step(model: FactorModel, grads, lr: float) -> FactorModel:
@@ -154,7 +195,8 @@ def train(y: SparseRatingMatrix, params: Hyperparams, n_factors: int):
     if n_factors < 1:
         raise ValueError("n_factors must be >= 1")
     model = initial_model(y, n_factors, params.seed)
-    current, grads = loss_and_grad(model, y, params.reg)
+    loss = HingeLoss(y, params.reg)
+    current, grads = loss(model)
     if not np.isfinite(current):
         raise TrainingDivergedError("initial objective is not finite")
     objectives = [current]
@@ -166,7 +208,7 @@ def train(y: SparseRatingMatrix, params: Hyperparams, n_factors: int):
         proposal = None
         while lr >= _MIN_LR:
             candidate = gd_step(model, grads, lr)
-            value, candidate_grads = loss_and_grad(candidate, y, params.reg)
+            value, candidate_grads = loss(candidate)
             if np.isfinite(value) and value <= current:
                 proposal = (candidate, value, candidate_grads)
                 break

@@ -4,6 +4,7 @@ import pytest
 from stmmmf.baseline import (
     BaselineConfig,
     BaselineModel,
+    _add_at,
     predict_baseline,
     predict_baseline_many,
     rounds_experiment,
@@ -41,6 +42,20 @@ def test_zero_epochs_is_global_mean():
     preds = predict_baseline_many(model, y.users, y.items)
     rmse = np.sqrt(np.mean((preds - y.ratings) ** 2))
     assert rmse == pytest.approx(y.ratings.std(), abs=1e-3)
+
+
+def test_layered_scatter_matches_add_at_bits():
+    rng = np.random.default_rng(12)
+    for size, n_targets in ((1, 3), (1024, 5), (1024, 200), (257, 1)):
+        index = rng.integers(0, n_targets, size)  # every index repeats heavily
+        vec, rows = rng.normal(size=n_targets), rng.normal(size=(n_targets, 4))
+        dvec, drows = rng.normal(size=size), rng.normal(size=(size, 4))
+        ref_vec, ref_rows = vec.copy(), rows.copy()
+        np.add.at(ref_vec, index, dvec)
+        np.add.at(ref_rows, index, drows)
+        _add_at(index, (vec, dvec), (rows, drows))
+        assert vec.tobytes() == ref_vec.tobytes()
+        assert rows.tobytes() == ref_rows.tobytes()
 
 
 def test_deterministic_per_seed():

@@ -163,6 +163,18 @@ def test_selftrain_zero_dim_is_usage_error(toy_files):
     assert not (tmp_path / "run").exists()
 
 
+def test_selftrain_on_empty_matrix_is_an_error_line(tmp_path, capsys):
+    ratings = tmp_path / "u.data"
+    ratings.write_text("1\t10\t3\t100\n")
+    empty = tmp_path / "y.stmat"
+    assert run(["ingest", ratings, "--out", empty]) == 0  # min-ratings drops the user
+    capsys.readouterr()
+    assert run(["selftrain", empty, "--out-dir", tmp_path / "run"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(str(empty))
+    assert not (tmp_path / "run").exists()
+
+
 def test_selftrain_snapshots(toy_files):
     tmp_path, train_path, test_path = toy_files
     args = selftrain_args(tmp_path, train_path, test_path) + ["--snapshot-every", "1"]
@@ -279,6 +291,22 @@ def test_gridsearch_bad_grid_is_usage_error(toy_files, grid):
     with pytest.raises(SystemExit):
         run(grid_args(train_path, out, *grid))
     assert not out.exists()  # rejected before any cell runs
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftrain", "{train}", "--dim", "0"],
+    ["split", "{train}", "--frac", "1.0"],
+    ["gridsearch", "{train}", "--runs", "0"],
+    ["gridsearch", "{train}", "--lambda-grid", "0.2,x"],
+], ids=["selftrain-dim", "split-frac", "gridsearch-runs", "gridsearch-grid"])
+def test_handler_usage_error_prints_command_usage(toy_files, capsys, argv):
+    _, train_path, _ = toy_files
+    with pytest.raises(SystemExit) as exc:  # raised before any output is written
+        run([a.format(train=train_path) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: stmmmf {argv[0]} ")
+    assert f"stmmmf {argv[0]}: error: " in err
 
 
 def test_gridsearch_workers_match_serial(toy_files):

@@ -14,6 +14,7 @@ from stmmmf.core import (
 )
 from stmmmf.synthetic import planted_matrix, planted_model
 from stmmmf.trainer import (
+    HingeLoss,
     TrainingDivergedError,
     complete_matrix,
     compute_gradients,
@@ -184,6 +185,41 @@ def test_loss_and_grad_matches_per_threshold_loop():
             assert g.tobytes() == ref.tobytes()
 
 
+def test_hinge_loss_object_matches_loop_on_every_call():
+    """One HingeLoss per matrix, called on several models in turn, gives the
+    reference gradients bit for bit; the value is within 1e-12 relative
+    because the reference sums the thresholds in another order."""
+    rng = np.random.default_rng(6)
+
+    def rated(n_users, n_items, R, skip_users):
+        triples = [(i, j, int(rng.integers(1, R + 1)))
+                   for i in range(n_users) if i not in skip_users
+                   for j in range(n_items) if rng.random() < 0.6]
+        return SparseRatingMatrix.from_triples(n_users, n_items, R, triples)
+
+    matrices = [random_instance(rng)[1] for _ in range(10)]
+    matrices += [
+        rated(5, 4, 2, skip_users={1, 4}),  # one threshold column
+        rated(6, 7, 10, skip_users={0, 3}),  # nine threshold columns
+        SparseRatingMatrix.from_triples(3, 2, 5, []),
+    ]
+    for y in matrices:
+        reg = float(rng.uniform(0, 2))
+        loss = HingeLoss(y, reg)
+        for _ in range(3):
+            d = int(rng.integers(1, 4))
+            model = FactorModel(
+                rng.normal(0, 0.8, (y.n_users, d)), rng.normal(0, 0.8, (y.n_items, d)),
+                np.sort(rng.normal(0, 1.2, (y.n_users, y.max_rating - 1)), axis=1),
+            )
+            value, grads = loss(model)
+            ref_value, ref_grads = loop_loss_and_grad(model, y, reg)
+            assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+            assert loss.value(model) == value
+            for g, ref in zip(grads, ref_grads):
+                assert g.tobytes() == ref.tobytes()
+
+
 # -------------------------------------------------------------------- stepping
 
 def test_gd_step_zero_gradient_is_fixed_point():
@@ -233,12 +269,13 @@ def test_train_recovers_planted_model():
 def test_train_evaluates_once_per_trial_step(monkeypatch):
     values = []
 
-    def recorded(model, y, reg):
-        out = loss_and_grad(model, y, reg)
-        values.append(out[0])
-        return out
+    class Recorded(HingeLoss):
+        def __call__(self, model):
+            out = super().__call__(model)
+            values.append(out[0])
+            return out
 
-    monkeypatch.setattr(trainer, "loss_and_grad", recorded)
+    monkeypatch.setattr(trainer, "HingeLoss", Recorded)
     truth = planted_model(12, 10, rank=2, seed=1)
     y = planted_matrix(truth, observed_frac=0.7, seed=2)
     # lr 10 overshoots, so some trial steps are rejected and halved
