@@ -96,23 +96,19 @@ def cmd_selftrain(args, parser) -> int:
     if args.snapshot_every > 0:
         snap_dir.mkdir(exist_ok=True)
         save_matrix(y, snap_dir / "round_000.stmat")
-    jsonl = open(out_dir / "reports.jsonl", "w")
-    csv = open(out_dir / "reports.csv", "w", newline="")
-    csv.write(",".join(REPORT_CSV_COLUMNS) + "\n")
+    with open(out_dir / "reports.jsonl", "w") as jsonl, \
+            open(out_dir / "reports.csv", "w", newline="") as csv:
+        csv.write(",".join(REPORT_CSV_COLUMNS) + "\n")
 
-    def on_round(report, model, y_in, y_out):
-        jsonl.write(report.to_json() + "\n")
-        jsonl.flush()
-        csv.write(",".join(report.to_csv_row()) + "\n")
-        csv.flush()
-        if args.snapshot_every > 0 and report.iteration % args.snapshot_every == 0:
-            save_matrix(y_out, snap_dir / f"round_{report.iteration:03d}.stmat")
+        def on_round(report, model, y_in, y_out):
+            jsonl.write(report.to_json() + "\n")
+            jsonl.flush()
+            csv.write(",".join(report.to_csv_row()) + "\n")
+            csv.flush()
+            if args.snapshot_every > 0 and report.iteration % args.snapshot_every == 0:
+                save_matrix(y_out, snap_dir / f"round_{report.iteration:03d}.stmat")
 
-    try:
         result = selftrain_loop(y, cfg, test, callback=on_round)
-    finally:
-        jsonl.close()
-        csv.close()
     if result.model is not None:
         save_checkpoint(result.model, out_dir / "model.stmmmf")
     print(f"stopped after {len(result.reports)} rounds ({result.stop_reason})")
@@ -152,13 +148,21 @@ def _parse_grid(text, fallback, parser):
         parser.error(f"grid values must be numbers: {text!r}")
 
 
+_grid_matrix = None  # the training matrix of every grid cell in this process
+
+
+def _set_grid_matrix(y):
+    global _grid_matrix
+    _grid_matrix = y
+
+
 def _grid_cell(payload):
     """Mean validation (MAE, RMSE) of one grid cell over its seeded runs."""
-    y, cfg, runs, val_frac = payload
+    cfg, runs, val_frac = payload
     maes, rmses = [], []
     for run in range(runs):
         seed = cfg.seed + run
-        inner_train, holdout = split(y, 1.0 - val_frac, seed)
+        inner_train, holdout = split(_grid_matrix, 1.0 - val_frac, seed)
         if holdout.n_observed == 0:
             raise ValueError("validation carve-out is empty; matrix too small for val-frac")
         result = selftrain_loop(inner_train, dataclasses.replace(cfg, seed=seed), holdout)
@@ -184,27 +188,27 @@ def cmd_gridsearch(args, parser) -> int:
         for lam, tau1, s in cells
     ]
     y = load_matrix(args.input)
-    payloads = [(y, cfg, args.runs, args.val_frac) for cfg in configs]
-    out = open(args.out, "w", newline="")
-    out.write("lambda,tau1,s,mae,rmse\n")
+    payloads = [(cfg, args.runs, args.val_frac) for cfg in configs]
     best = None
     workers = min(args.workers, os.cpu_count() or 1)
-    try:
-        with ExitStack() as stack:
+    with open(args.out, "w", newline="") as out, ExitStack() as stack:
+        out.write("lambda,tau1,s,mae,rmse\n")
+        try:
             if workers > 1:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                pool = stack.enter_context(ProcessPoolExecutor(
+                    max_workers=workers, initializer=_set_grid_matrix, initargs=(y,)))
                 results = pool.map(_grid_cell, payloads)
             else:
+                _set_grid_matrix(y)
+                stack.callback(_set_grid_matrix, None)
                 results = map(_grid_cell, payloads)
             for (lam, tau1, s), (mae_v, rmse_v) in zip(cells, results):
                 out.write(f"{lam:.6g},{tau1:g},{s:g},{mae_v:.6f},{rmse_v:.6f}\n")
                 out.flush()
                 if best is None or mae_v < best[3]:
                     best = (lam, tau1, s, mae_v, rmse_v)
-    except Exception as exc:  # keep the partial CSV
-        out.close()
-        return _fail(f"grid search aborted: {exc}; partial CSV kept at {args.out}")
-    out.close()
+        except Exception as exc:  # keep the partial CSV
+            return _fail(f"grid search aborted: {exc}; partial CSV kept at {args.out}")
     lam, tau1, s, mae_v, rmse_v = best
     print(f"best lambda={lam:.6g} tau1={tau1:g} s={s:g} mae={mae_v:.6f} rmse={rmse_v:.6f}")
     return 0

@@ -7,6 +7,8 @@ the textual STMAT format.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import os
 import uuid
 from contextlib import contextmanager
@@ -20,7 +22,7 @@ MATRIX_MAGIC = "STMAT"
 
 
 class ParseError(ValueError):
-    """A malformed input line; carries the 1-based line number."""
+    """A malformed rating-file line; carries its 1-based line number in the stream."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -87,33 +89,60 @@ def open_text(target, mode: str = "r"):
             raise
 
 
+def _read_table(lines, n_cols: int, dtype, delimiter=None, n_rows=None) -> np.ndarray:
+    """Rows of n_cols numbers parsed from text lines by NumPy's C reader, blank lines
+    skipped; with n_rows, exactly n_rows lines are read and none may be blank or bad."""
+    lines = itertools.islice(lines, n_rows)
+    first = next(filter(str.strip, lines), None)  # loadtxt warns on input without rows
+    try:  # loadtxt's messages count rows without blank lines, so give one of our own
+        table = np.empty((0, n_cols), dtype) if first is None else np.loadtxt(
+            itertools.chain([first], lines), dtype, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"expected {n_cols} {np.dtype(dtype).name} values per line") from exc
+    if table.shape[1] != n_cols:
+        raise ValueError(f"expected {n_cols} {np.dtype(dtype).name} values per line")
+    if n_rows not in (None, len(table)):
+        raise ValueError(f"expected {n_rows} lines of values, got {len(table)}")
+    return table
+
+
+def _format_rows(table: np.ndarray, fmt: str, sep: str = " ", block_rows: int = 16384):
+    """Yield a table's rows as lines of fmt values joined by sep, one template per block."""
+    row = sep.join([fmt] * table.shape[1]) + "\n"
+    for start in range(0, len(table), block_rows):
+        block = table[start:start + block_rows]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
+
+
+def _rating_table(lines, delimiter: str, max_rating: int) -> np.ndarray:
+    """(n, 4) table of stripped `user item rating timestamp` lines, ratings in 1..max_rating."""
+    lines = map(str.strip, lines)
+    if delimiter != "\t":  # loadtxt splits on one character, so `::` becomes a tab
+        lines = map(operator.methodcaller("replace", "\t", " "), lines)  # a tab splits nothing
+        lines = map(operator.methodcaller("replace", delimiter, "\t"), lines)
+    table = _read_table(lines, 4, np.int64, "\t")
+    bad = (table[:, 2] < 1) | (table[:, 2] > max_rating)
+    if bad.any():
+        raise ValueError(f"rating {table[bad.argmax(), 2]} outside 1..{max_rating}")
+    return table
+
+
 def _parse_delimited(source, delimiter: str, source_tag: str, max_rating: int = 5) -> RawRatings:
-    users, items, ratings, stamps = [], [], [], []
-    with open_text(source) as stream:
-        for line_no, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(delimiter)
-            if len(parts) != 4:
-                raise ParseError(line_no, f"expected 4 fields, got {len(parts)}")
-            try:
-                u, i, r, t = (int(p) for p in parts)
-            except ValueError:
-                raise ParseError(line_no, "non-integer field") from None
-            if not 1 <= r <= max_rating:
-                raise ParseError(line_no, f"rating {r} outside 1..{max_rating}")
-            users.append(u)
-            items.append(i)
-            ratings.append(r)
-            stamps.append(t)
-    return RawRatings(
-        np.array(users, dtype=np.int64),
-        np.array(items, dtype=np.int64),
-        np.array(ratings, dtype=np.int64),
-        np.array(stamps, dtype=np.int64),
-        source_tag,
-    )
+    with open_text(source) as stream:  # a stream that cannot seek gets no line numbers
+        start = stream.tell() if stream.seekable() else None
+        try:
+            table = _rating_table(stream, delimiter, max_rating)
+        except ValueError:
+            if start is None:
+                raise
+            stream.seek(start)  # find the bad line by checking the lines one by one
+            for line_no, line in enumerate(stream, start=1):
+                try:
+                    _rating_table([line], delimiter, max_rating)
+                except ValueError as exc:
+                    raise ParseError(line_no, str(exc)) from None
+            raise
+    return RawRatings(*table.T.copy(), source_tag)
 
 
 def parse_ml100k(source) -> RawRatings:
@@ -170,11 +199,8 @@ def save_matrix(y: SparseRatingMatrix, target):
     """Write the textual STMAT format: header line then `i j r` entries
     sorted by (i, j)."""
     with open_text(target, "w") as stream:
-        stream.write(
-            f"{MATRIX_MAGIC} 1 {y.n_users} {y.n_items} {y.max_rating} {y.n_observed}\n"
-        )
-        for u, i, r in zip(y.users, y.items, y.ratings):
-            stream.write(f"{u} {i} {r}\n")
+        stream.write(f"{MATRIX_MAGIC} 1 {y.n_users} {y.n_items} {y.max_rating} {y.n_observed}\n")
+        stream.writelines(_format_rows(np.column_stack([y.users, y.items, y.ratings]), "%d"))
 
 
 def load_matrix(source) -> SparseRatingMatrix:
@@ -184,14 +210,7 @@ def load_matrix(source) -> SparseRatingMatrix:
         if len(header) != 6 or header[0] != MATRIX_MAGIC or header[1] != "1":
             raise ValueError("not a recognized matrix header")
         n_users, n_items, max_rating, count = map(int, header[2:])
-        users = np.empty(count, dtype=np.int64)
-        items = np.empty(count, dtype=np.int64)
-        ratings = np.empty(count, dtype=np.int64)
-        for k in range(count):
-            parts = stream.readline().split()
-            if len(parts) != 3:
-                raise ValueError(f"entry {k}: expected 3 fields, got {len(parts)}")
-            users[k], items[k], ratings[k] = (int(p) for p in parts)
-        if stream.readline().strip():
+        table = _read_table(stream, 3, np.int64, n_rows=count)
+        if any(map(str.strip, stream)):
             raise ValueError("trailing data after the declared entry count")
-    return SparseRatingMatrix(n_users, n_items, max_rating, users, items, ratings)
+    return SparseRatingMatrix(n_users, n_items, max_rating, *table.T)

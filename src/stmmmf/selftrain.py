@@ -10,7 +10,7 @@ predictions, recording per-round bookkeeping and test metrics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -97,19 +97,8 @@ class IterationReport:
     test_rmse: Optional[float]
 
     def to_json(self) -> str:
-        return json.dumps({
-            "iter": self.iteration,
-            "observed": self.observed,
-            "unobserved": self.unobserved,
-            "candidates": self.candidates,
-            "augmented": self.augmented,
-            "refined": self.refined,
-            "overlap": self.overlap,
-            "retained_frac": self.retained_frac,
-            "gap_clamps": self.gap_clamps,
-            "test_mae": self.test_mae,
-            "test_rmse": self.test_rmse,
-        })
+        fields = asdict(self)
+        return json.dumps({"iter": fields.pop("iteration"), **fields})
 
     def to_csv_row(self) -> list:
         def fmt(v):

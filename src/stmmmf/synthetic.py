@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import FactorModel, SparseRatingMatrix, discretize_rows
+from .ingest import _format_rows
 
 
 def planted_model(
@@ -141,8 +142,5 @@ def synthetic_ratings_file(
     ratings = discretize_rows(model.thresholds[users], scores[:, None])[:, 0]
     stamps = rng.integers(874_000_000, 894_000_000, size=n_ratings)
 
-    lines = [
-        f"{users[k] + 1}{delimiter}{items[k] + 1}{delimiter}{ratings[k]}{delimiter}{stamps[k]}"
-        for k in range(n_ratings)
-    ]
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([users + 1, items + 1, ratings, stamps])
+    return "".join(_format_rows(table, "%d", delimiter))

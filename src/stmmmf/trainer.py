@@ -31,7 +31,7 @@ from .core import (
     discretize_rows,
     t_indicator,
 )
-from .ingest import open_text
+from .ingest import _format_rows, _read_table, open_text
 
 CHECKPOINT_MAGIC = "STMMMF"
 
@@ -270,13 +270,10 @@ def predict_ratings(model: FactorModel, users, items, trained_on=None) -> np.nda
 def save_checkpoint(model: FactorModel, target):
     """Write the textual checkpoint: header then U, V, theta rows."""
     with open_text(target, "w") as stream:
-        stream.write(
-            f"{CHECKPOINT_MAGIC} 1 {model.n_users} {model.n_items} "
-            f"{model.n_factors} {model.max_rating}\n"
-        )
+        stream.write(f"{CHECKPOINT_MAGIC} 1 {model.n_users} {model.n_items} "
+                     f"{model.n_factors} {model.max_rating}\n")
         for block in (model.user_factors, model.item_factors, model.thresholds):
-            for row in block:
-                stream.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+            stream.writelines(_format_rows(block, "%.17g"))
 
 
 def load_checkpoint(source) -> FactorModel:
@@ -286,17 +283,9 @@ def load_checkpoint(source) -> FactorModel:
         if len(header) != 6 or header[0] != CHECKPOINT_MAGIC or header[1] != "1":
             raise ValueError("not a recognized checkpoint header")
         n_users, n_items, n_factors, max_rating = map(int, header[2:])
-        def read_block(rows, cols):
-            data = np.empty((rows, cols))
-            for k in range(rows):
-                parts = stream.readline().split()
-                if len(parts) != cols:
-                    raise ValueError(f"checkpoint row {k} has {len(parts)} values, expected {cols}")
-                data[k] = [float(p) for p in parts]
-            return data
-        u = read_block(n_users, n_factors)
-        v = read_block(n_items, n_factors)
-        theta = read_block(n_users, max_rating - 1)
-        if stream.readline().strip():
+        u = _read_table(stream, n_factors, np.float64, n_rows=n_users)
+        v = _read_table(stream, n_factors, np.float64, n_rows=n_items)
+        theta = _read_table(stream, max_rating - 1, np.float64, n_rows=n_users)
+        if any(map(str.strip, stream)):
             raise ValueError("trailing data after the declared checkpoint rows")
     return FactorModel(u, v, theta)

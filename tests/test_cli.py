@@ -112,6 +112,17 @@ def test_split_rejects_full_fraction(toy_files, tmp_path):
     assert not (tmp_path / "t.stmat").exists()  # usage errors leave no files
 
 
+@pytest.mark.parametrize("body", ["\n0 0 3\n", "0 0\n", "0 0 x\n", "0 0 3\n1 1 4\n"])
+def test_split_malformed_matrix_is_an_error_line(tmp_path, capsys, body):
+    bad = tmp_path / "bad.stmat"
+    bad.write_text("STMAT 1 2 2 5 1\n" + body)
+    assert run(["split", bad, "--train-out", tmp_path / "t.stmat",
+                "--test-out", tmp_path / "e.stmat"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "t.stmat").exists()
+
+
 # ------------------------------------------------------------------ selftrain
 
 def selftrain_args(tmp_path, train_path, test_path, **extra):
@@ -319,15 +330,18 @@ def test_gridsearch_workers_match_serial(toy_files):
     assert pooled.read_bytes() == serial.read_bytes()
 
 
-def test_gridsearch_workers_clamped_to_cpu_count(toy_files, monkeypatch):
-    tmp_path, train_path, _ = toy_files
+@pytest.fixture()
+def serial_pool(monkeypatch):
+    """Replace the process pool with one that runs its initializer and maps
+    in this process on a 3-CPU host; returns the pool sizes it was given."""
     pools = []
 
     class SerialPool:
         """Records its size and maps in this process; starts no worker."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             pools.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -339,12 +353,37 @@ def test_gridsearch_workers_clamped_to_cpu_count(toy_files, monkeypatch):
             return map(fn, payloads)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "_grid_matrix", None)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    return pools
+
+
+def test_gridsearch_workers_clamped_to_cpu_count(toy_files, serial_pool):
+    tmp_path, train_path, _ = toy_files
     out = tmp_path / "grid.csv"
     grid = ["--lambda-grid", "0.2", "--tau1-grid", "30", "--s-grid", "100"]
     assert run(grid_args(train_path, out, *grid, "--workers", "4096")) == 0
-    assert pools == [3]
+    assert serial_pool == [3]
     assert len(out.read_text().splitlines()) == 2
+
+
+def test_gridsearch_cell_payload_holds_no_matrix(toy_files, serial_pool, monkeypatch):
+    tmp_path, train_path, _ = toy_files
+    payloads, cell = [], cli._grid_cell
+
+    def recording_cell(payload):
+        payloads.append(payload)
+        assert cli._grid_matrix.content_hash() == load_matrix(train_path).content_hash()
+        return cell(payload)
+
+    monkeypatch.setattr(cli, "_grid_cell", recording_cell)
+    grid = ["--lambda-grid", "0.2,1", "--tau1-grid", "30", "--s-grid", "100"]
+    for workers in ("2", "1"):
+        assert run(grid_args(train_path, tmp_path / "grid.csv", *grid, "--workers", workers)) == 0
+    assert serial_pool == [2]
+    assert len(payloads) == 4
+    assert not any(isinstance(v, SparseRatingMatrix) for p in payloads for v in p)
+    assert cli._grid_matrix is None  # the serial run lets go of its matrix
 
 
 # ------------------------------------------------------------ baseline rounds

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,46 @@ def test_parse_rating_out_of_scale():
 def test_parse_ignores_trailing_blank_lines():
     got = parse_ml1m(io.StringIO("1::2::3::4\n\n"))
     assert len(got) == 1
+
+
+@pytest.mark.parametrize("parse, text, line_no", [
+    (parse_ml100k, "1\t2\t3\t4\n\n1\tx\t3\t4\n", 3),     # blank lines count
+    (parse_ml1m, "1::2::3::4\n1::2::6::4\n", 2),            # rating out of scale
+    (parse_ml100k, "1\t2\t9\t4\n1\tx\t3\t4\n", 1),        # the first bad line wins
+    (parse_ml100k, "1\t2\t3\t4\n1\t2\t3\t4\t5\n", 2),     # 5 fields
+    (parse_ml1m, "1::2::3::4\n1\t2::3::4\n", 2),           # a tab separates no fields
+    (parse_ml1m, "1::2::3::4\n1::2::3::4::\n", 2),          # trailing delimiter
+    (parse_ml1m, "\n\n1:2::3::4\n", 3),                    # single colon
+])
+def test_parse_error_names_physical_line(parse, text, line_no):
+    with pytest.raises(ParseError) as err:
+        parse(io.StringIO(text))
+    assert err.value.line_no == line_no
+
+
+def test_parse_error_counts_lines_from_the_stream_position():
+    stream = io.StringIO("user\titem\trating\ttime\n1\t2\t3\t4\n1\tx\t3\t4\n")
+    stream.readline()
+    with pytest.raises(ParseError) as err:
+        parse_ml100k(stream)
+    assert err.value.line_no == 2
+
+
+def test_parse_strips_fields_as_before():
+    got = parse_ml1m(io.StringIO(" 7 ::8\t::5:: 9\n"))
+    assert (got.user_ids[0], got.item_ids[0], got.ratings[0], got.timestamps[0]) == (7, 8, 5, 9)
+    got = parse_ml100k(io.StringIO("\t7\t 8\t5\t9 \r\n"))
+    assert (got.user_ids[0], got.item_ids[0], got.ratings[0], got.timestamps[0]) == (7, 8, 5, 9)
+
+
+def test_empty_inputs_raise_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(parse_ml100k(io.StringIO(""))) == 0
+        assert len(parse_ml1m(io.StringIO("\n \n"))) == 0
+        assert load_matrix(io.StringIO("STMAT 1 2 2 5 0\n")).n_observed == 0
+        with pytest.raises(ValueError):
+            load_matrix(io.StringIO("STMAT 1 2 2 5 1\n\n"))
 
 
 # ---------------------------------------------------------------- preprocess
@@ -166,6 +207,58 @@ def test_write_that_raises_keeps_old_file(tmp_path):
             raise RuntimeError("interrupted")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["y.stmat"]
+
+
+def per_line_save_matrix(y, stream):
+    """The per-line STMAT writer the block writer replaced, kept as the
+    byte reference."""
+    stream.write(f"STMAT 1 {y.n_users} {y.n_items} {y.max_rating} {y.n_observed}\n")
+    for u, i, r in zip(y.users, y.items, y.ratings):
+        stream.write(f"{u} {i} {r}\n")
+
+
+@pytest.mark.parametrize("n_users, n_items, n_observed", [
+    (1, 1, 0), (3, 4, 0), (1, 1, 1), (6, 7, 20), (60, 50, 2_000), (300, 200, 40_000),
+])
+def test_matrix_bytes_match_per_line_writer(n_users, n_items, n_observed):
+    rng = np.random.default_rng(n_observed)
+    cells = rng.choice(n_users * n_items, n_observed, replace=False)
+    max_rating = int(rng.integers(2, 11))
+    y = SparseRatingMatrix(n_users, n_items, max_rating, cells // n_items, cells % n_items,
+                           rng.integers(1, max_rating + 1, n_observed))
+    got, want = io.StringIO(), io.StringIO()
+    save_matrix(y, got)
+    per_line_save_matrix(y, want)
+    assert got.getvalue() == want.getvalue()
+    back = load_matrix(io.StringIO(got.getvalue()))
+    assert (back.n_users, back.n_items, back.max_rating) == (n_users, n_items, max_rating)
+    for name in ("users", "items", "ratings"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(y, name))
+
+
+@pytest.mark.parametrize("body", [
+    "0 0 3\n\n1 1 4\n",           # blank line inside the body
+    "\n0 0 3\n1 1 4\n",           # blank line before the first entry
+    "0 0 3\n1 1\n",                # 2 fields
+    "0 0 3\n1 1 4 2\n",            # 4 fields
+    "0 0 3\n1 x 4\n",              # non-integer token
+    "0 0 3\n1 1 4.0\n",            # float token
+    "# entries\n0 0 3\n1 1 4\n",  # comment line
+    "0 0 3 # c\n1 1 4\n",          # trailing comment
+    "0 0 3\n",                      # fewer entries than declared
+    "",                             # no entries
+    "0 0 3\n1 1 4\n0 1 2\n",       # more entries than declared
+    "0 0 3\n1 1 4\n\n0 1 2\n",     # data after a blank line
+])
+def test_matrix_malformed_body_rejected(body):
+    with pytest.raises(ValueError):
+        load_matrix(io.StringIO("STMAT 1 2 2 5 2\n" + body))
+
+
+@pytest.mark.parametrize("body", ["0 0 3\n1 1 4", "0 0 3\n1 1 4\n\n \n", " 0\t0 3 \n1  1 4\r\n"])
+def test_matrix_body_grammar_accepts(body):
+    y = load_matrix(io.StringIO("STMAT 1 2 2 5 2\n" + body))
+    assert list(y.ratings) == [3, 4]
 
 
 def test_matrix_count_mismatch_rejected():

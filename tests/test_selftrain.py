@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from stmmmf.core import FactorModel, SparseRatingMatrix, discretize
-from stmmmf.evaluation import split
+from stmmmf import selftrain
+from stmmmf.evaluation import MetricsSnapshot, split
 from stmmmf.selftrain import (
     SelfTrainConfig,
     apply_augment,
@@ -354,6 +355,23 @@ def test_loop_stops_when_no_candidates():
         assert result.reports[-1].candidates == 0
     else:  # candidates may exist; the loop must then run its full budget
         assert len(result.reports) == 10
+
+
+def test_loop_stops_after_patience_worse_rounds(monkeypatch):
+    train_m, test_m = small_problem()
+    # round 3 is worse, round 4 better again, rounds 5-7 worse in a row
+    maes = iter([0.9, 0.5, 0.6, 0.55, 0.7, 0.8, 0.9, 1.0])
+
+    def rising_snapshot(pairs):
+        return MetricsSnapshot(mae=next(maes), rmse=1.0, n=len(pairs))
+
+    monkeypatch.setattr(selftrain, "snapshot", rising_snapshot)
+    models = []
+    result = selftrain_loop(train_m, loop_config(max_rounds=8, patience=3), test_m,
+                            callback=lambda report, model, y_in, y_out: models.append(model))
+    assert result.stop_reason == "test_mae_degrading"
+    assert [r.test_mae for r in result.reports] == [0.9, 0.5, 0.6, 0.55, 0.7, 0.8, 0.9]
+    assert result.model is models[-1]
 
 
 def test_loop_without_test_matrix():

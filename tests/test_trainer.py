@@ -371,6 +371,56 @@ def test_checkpoint_roundtrip_exact():
     np.testing.assert_array_equal(back.thresholds, model.thresholds)
 
 
+def per_line_save_checkpoint(model, stream):
+    """The per-line checkpoint writer the block writer replaced, kept as the
+    byte reference."""
+    stream.write(f"STMMMF 1 {model.n_users} {model.n_items} "
+                 f"{model.n_factors} {model.max_rating}\n")
+    for block in (model.user_factors, model.item_factors, model.thresholds):
+        for row in block:
+            stream.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+               1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+               0.1, -1 / 3, 123456789.0, 1.0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_checkpoint_bytes_match_per_line_writer(seed):
+    rng = np.random.default_rng(seed)
+    n, m, d, r = (int(k) for k in rng.integers(1, 40, 4))
+    if seed == 5:  # more rows than one write block
+        n, m, d, r = 17_000, 3, 2, 2
+
+    def block(rows, cols):
+        values = rng.normal(0, 10.0 ** rng.integers(-300, 300), (rows, cols))
+        edge = rng.random((rows, cols)) < 0.3
+        values[edge] = rng.choice(EDGE_VALUES, int(edge.sum()))
+        return values
+
+    model = FactorModel(block(n, d), block(m, d), block(n, r))
+    got, want = io.StringIO(), io.StringIO()
+    save_checkpoint(model, got)
+    per_line_save_checkpoint(model, want)
+    assert got.getvalue() == want.getvalue()
+    back = load_checkpoint(io.StringIO(got.getvalue()))
+    for name in ("user_factors", "item_factors", "thresholds"):
+        assert getattr(back, name).tobytes() == getattr(model, name).tobytes()
+
+
+@pytest.mark.parametrize("body", [
+    "1 2\n3 4 5\n6 7\n",       # short first row
+    "1 2 3\n3 4\n6 7\n",       # short second row
+    "1 2 3\n\n3 4 5\n6 7\n",   # blank line inside
+    "1 2 3\n3 4 5\n",          # missing threshold row
+    "1 2 3\n3 4 x\n6 7\n",     # not a number
+])
+def test_checkpoint_malformed_rows_rejected(body):
+    with pytest.raises(ValueError):
+        load_checkpoint(io.StringIO("STMMMF 1 1 1 3 3\n" + body))
+
+
 def test_checkpoint_header_format(tmp_path):
     model = FactorModel(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((2, 4)))
     path = tmp_path / "model.stmmmf"
