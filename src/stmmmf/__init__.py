@@ -64,7 +64,6 @@ from .ingest import (
 from .baseline import (
     BaselineConfig,
     BaselineModel,
-    predict_baseline,
     rounds_experiment,
     strip_overlap,
     train_baseline,

@@ -36,33 +36,30 @@ class BaselineModel:
     max_rating: int
 
 
+# Rows per block of the epoch loss: two (block, k) gathers instead of two
+# (n_observed, k) ones.  A row's dot product does not depend on its block.
+_LOSS_BLOCK = 4096
+
+
 def _loss(y, mu, bu, bi, p, q, reg):
-    pred = mu + bu[y.users] + bi[y.items] + np.einsum("ij,ij->i", p[y.users], q[y.items])
+    dots = np.empty(y.n_observed)
+    for start in range(0, y.n_observed, _LOSS_BLOCK):
+        rows = slice(start, start + _LOSS_BLOCK)
+        np.einsum("ij,ij->i", p[y.users[rows]], q[y.items[rows]], out=dots[rows])
+    pred = mu + bu[y.users] + bi[y.items] + dots
     sse = np.sum((y.ratings - pred) ** 2)
     return sse + reg * (
         np.sum(bu**2) + np.sum(bi**2) + np.sum(p**2) + np.sum(q**2)
     )
 
 
-def _add_at(index, *updates):
-    """np.add.at(target, index, values) for each (target, values) pair,
-    with the same bits.
-
-    Positions are applied in layers: layer k holds the k-th occurrence of
-    every index, so its indices are distinct and a plain fancy-index add
-    is exact, and repeated indices still add in batch order, as
-    np.add.at does.
-    """
-    order = np.argsort(index, kind="stable")
-    ranked = index[order]
-    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-    slot = np.arange(index.size)
-    rank = slot - np.maximum.accumulate(np.where(first, slot, 0))
-    layers = np.split(order[np.argsort(rank, kind="stable")], np.cumsum(np.bincount(rank))[:-1])
-    for pos in layers:
-        at = index[pos]
-        for target, values in updates:
-            target[at] += values[pos]
+def _add_rows_at(target, index, rows):
+    """np.add.at(target, index, rows) for a C-contiguous 2-D target, with the
+    same bits, through ufunc.at's fast 1-D path: each flat cell still takes
+    its adds in batch order."""
+    k = target.shape[1]
+    flat = target.reshape(-1)  # a view, as the target is C-contiguous
+    np.add.at(flat, (index[:, None] * k + np.arange(k)).reshape(-1), rows.reshape(-1))
 
 
 def train_baseline(y: SparseRatingMatrix, cfg: BaselineConfig) -> BaselineModel:
@@ -89,10 +86,10 @@ def train_baseline(y: SparseRatingMatrix, cfg: BaselineConfig) -> BaselineModel:
             uu, ii = y.users[batch], y.items[batch]
             pu, qi = p[uu], q[ii]
             err = y.ratings[batch] - (mu + bu[uu] + bi[ii] + np.einsum("ij,ij->i", pu, qi))
-            _add_at(uu, (bu, lr * (err - cfg.reg * bu[uu])),
-                    (p, lr * (err[:, None] * qi - cfg.reg * pu)))
-            _add_at(ii, (bi, lr * (err - cfg.reg * bi[ii])),
-                    (q, lr * (err[:, None] * pu - cfg.reg * qi)))
+            np.add.at(bu, uu, lr * (err - cfg.reg * bu[uu]))
+            _add_rows_at(p, uu, lr * (err[:, None] * qi - cfg.reg * pu))
+            np.add.at(bi, ii, lr * (err - cfg.reg * bi[ii]))
+            _add_rows_at(q, ii, lr * (err[:, None] * pu - cfg.reg * qi))
         loss = _loss(y, mu, bu, bi, p, q, cfg.reg)
         if not np.isfinite(loss):
             raise TrainingDivergedError("baseline loss is not finite")
@@ -100,21 +97,6 @@ def train_baseline(y: SparseRatingMatrix, cfg: BaselineConfig) -> BaselineModel:
             lr *= 0.5
         prev = loss
     return BaselineModel(p, q, bu, bi, mu, y.max_rating)
-
-
-def predict_baseline(model: BaselineModel, i: int, j: int) -> float:
-    """Clamped prediction; ids outside the trained range fall back to the
-    global mean plus whichever bias terms exist."""
-    value = model.global_mean
-    warm_user = 0 <= i < model.user_bias.size
-    warm_item = 0 <= j < model.item_bias.size
-    if warm_user:
-        value += model.user_bias[i]
-    if warm_item:
-        value += model.item_bias[j]
-    if warm_user and warm_item:
-        value += float(model.user_factors[i] @ model.item_factors[j])
-    return float(np.clip(value, 1.0, model.max_rating))
 
 
 def predict_baseline_many(model: BaselineModel, users, items) -> np.ndarray:
@@ -129,6 +111,13 @@ def predict_baseline_many(model: BaselineModel, users, items) -> np.ndarray:
     return np.clip(pred, 1.0, model.max_rating)
 
 
+def _check_grid(y: SparseRatingMatrix, test: SparseRatingMatrix):
+    """Raise ValueError unless y and test share users, items and scale."""
+    grid, test_grid = ((m.n_users, m.n_items, m.max_rating) for m in (y, test))
+    if grid != test_grid:
+        raise ValueError(f"round matrix grid {grid} differs from the test set's {test_grid}")
+
+
 def strip_overlap(y: SparseRatingMatrix, test: SparseRatingMatrix) -> SparseRatingMatrix:
     """Drop entries of y sitting on test cells.
 
@@ -136,22 +125,23 @@ def strip_overlap(y: SparseRatingMatrix, test: SparseRatingMatrix) -> SparseRati
     which includes held-out cells, so snapshots can carry pseudo-ratings
     at test positions.  Those must not reach a model scored on that test
     set; original training entries are never affected because the split
-    is disjoint.
+    is disjoint.  Raises ValueError when the grids differ.
     """
-    hit = y.contains(test.users, test.items)
-    if not np.any(hit):
-        return y
-    return y.select(~np.isin(y.observed_keys(), test.observed_keys()))
+    _check_grid(y, test)
+    keep = ~np.isin(y.observed_keys(), test.observed_keys())
+    return y if keep.all() else y.select(keep)
 
 
 def rounds_experiment(matrices, test: SparseRatingMatrix, cfg: BaselineConfig):
     """Retrain from scratch on each matrix and score the fixed test set.
 
-    Returns one MetricsSnapshot per round, in order.  Matrices must not
-    overlap the test set; see strip_overlap for sanitizing snapshots.
+    Returns one MetricsSnapshot per round, in order.  Matrices must share
+    the test set's grid and not overlap it; see strip_overlap for
+    sanitizing snapshots.
     """
     out: list[MetricsSnapshot] = []
     for y in matrices:
+        _check_grid(y, test)
         if np.any(y.contains(test.users, test.items)):
             raise ValueError("round matrix overlaps the test set")
         model = train_baseline(y, cfg)

@@ -122,6 +122,8 @@ def cmd_evaluate(args, parser) -> int:
     test = load_matrix(args.test)
     model.check_matches(test)
     train = load_matrix(args.train) if args.train else None
+    if train is not None:
+        model.check_matches(train)
     preds = predict_ratings(model, test.users, test.items, trained_on=train)
     pairs = np.column_stack([test.ratings, preds])
     metrics = snapshot(pairs)
@@ -214,16 +216,23 @@ def cmd_gridsearch(args, parser) -> int:
     return 0
 
 
+def _round_number(path: Path) -> int:
+    digits = path.stem.removeprefix("round_")
+    if not digits.isdecimal():
+        raise ValueError(f"snapshot {path} has no round number after round_")
+    return int(digits)
+
+
 def cmd_baseline_rounds(args, parser) -> int:
     snap_dir = Path(args.snapshots)
-    files = sorted(snap_dir.glob("round_*.stmat"))
-    if not files:
+    numbered = sorted((_round_number(f), f) for f in snap_dir.glob("round_*.stmat"))
+    if not numbered:
         return _fail(
             f"no round_*.stmat snapshots in {snap_dir}; "
             "run `stmmmf selftrain --snapshot-every 1` first"
         )
     test = load_matrix(args.test)
-    matrices = [strip_overlap(load_matrix(f), test) for f in files]
+    matrices = [strip_overlap(load_matrix(f), test) for _, f in numbered]
     cfg = BaselineConfig(
         n_factors=args.dim, reg=args.reg, epochs=args.epochs,
         lr=args.lr, seed=args.seed,
@@ -231,8 +240,7 @@ def cmd_baseline_rounds(args, parser) -> int:
     snapshots = rounds_experiment(matrices, test, cfg)
     with open_text(args.out, "w") as out:
         out.write("round,mae,rmse\n")
-        for path, metrics in zip(files, snapshots):
-            round_no = int(path.stem.split("_")[1])
+        for (round_no, _), metrics in zip(numbered, snapshots):
             out.write(f"{round_no},{metrics.mae:.6f},{metrics.rmse:.6f}\n")
             print(f"round {round_no}: mae {metrics.mae:.6f} rmse {metrics.rmse:.6f}")
     return 0

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from stmmmf.baseline import (
+    _LOSS_BLOCK,
     BaselineConfig,
     BaselineModel,
-    _add_at,
-    predict_baseline,
+    _loss,
     predict_baseline_many,
     rounds_experiment,
     strip_overlap,
@@ -44,18 +44,74 @@ def test_zero_epochs_is_global_mean():
     assert rmse == pytest.approx(y.ratings.std(), abs=1e-3)
 
 
-def test_layered_scatter_matches_add_at_bits():
-    rng = np.random.default_rng(12)
-    for size, n_targets in ((1, 3), (1024, 5), (1024, 200), (257, 1)):
-        index = rng.integers(0, n_targets, size)  # every index repeats heavily
-        vec, rows = rng.normal(size=n_targets), rng.normal(size=(n_targets, 4))
-        dvec, drows = rng.normal(size=size), rng.normal(size=(size, 4))
-        ref_vec, ref_rows = vec.copy(), rows.copy()
-        np.add.at(ref_vec, index, dvec)
-        np.add.at(ref_rows, index, drows)
-        _add_at(index, (vec, dvec), (rows, drows))
-        assert vec.tobytes() == ref_vec.tobytes()
-        assert rows.tobytes() == ref_rows.tobytes()
+def random_matrix(n_users, n_items, n_observed, seed):
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(n_users * n_items, size=n_observed, replace=False)
+    return SparseRatingMatrix(n_users, n_items, 5, keys // n_items, keys % n_items,
+                              rng.integers(1, 6, n_observed))
+
+
+def unblocked_loss(y, mu, bu, bi, p, q, reg):
+    pred = mu + bu[y.users] + bi[y.items] + np.einsum("ij,ij->i", p[y.users], q[y.items])
+    sse = np.sum((y.ratings - pred) ** 2)
+    return sse + reg * (
+        np.sum(bu**2) + np.sum(bi**2) + np.sum(p**2) + np.sum(q**2)
+    )
+
+
+def reference_baseline(y, cfg):
+    """The trainer with plain row-wise np.add.at and the one-shot loss;
+    also returns the final learning rate."""
+    rng = np.random.default_rng(cfg.seed)
+    mu = float(y.ratings.mean())
+    bu = np.zeros(y.n_users)
+    bi = np.zeros(y.n_items)
+    p = rng.normal(0.0, 0.01, size=(y.n_users, cfg.n_factors))
+    q = rng.normal(0.0, 0.01, size=(y.n_items, cfg.n_factors))
+    lr = cfg.lr
+    prev = np.inf
+    for _ in range(cfg.epochs):
+        order = rng.permutation(y.n_observed)
+        for start in range(0, order.size, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            uu, ii = y.users[batch], y.items[batch]
+            pu, qi = p[uu], q[ii]
+            err = y.ratings[batch] - (mu + bu[uu] + bi[ii] + np.einsum("ij,ij->i", pu, qi))
+            np.add.at(bu, uu, lr * (err - cfg.reg * bu[uu]))
+            np.add.at(p, uu, lr * (err[:, None] * qi - cfg.reg * pu))
+            np.add.at(bi, ii, lr * (err - cfg.reg * bi[ii]))
+            np.add.at(q, ii, lr * (err[:, None] * pu - cfg.reg * qi))
+        loss = unblocked_loss(y, mu, bu, bi, p, q, cfg.reg)
+        if loss > prev:
+            lr *= 0.5
+        prev = loss
+    return BaselineModel(p, q, bu, bi, mu, y.max_rating), lr
+
+
+def test_loss_blocks_match_unblocked_bits():
+    rng = np.random.default_rng(5)
+    for n in (_LOSS_BLOCK - 1, _LOSS_BLOCK, _LOSS_BLOCK + 1, 2 * _LOSS_BLOCK + 3):
+        y = random_matrix(97, 211, n, seed=n)
+        bu, bi = rng.normal(size=97), rng.normal(size=211)
+        p, q = rng.normal(size=(97, 13)), rng.normal(size=(211, 13))
+        args = (y, 3.5, bu, bi, p, q, 0.02)
+        assert _loss(*args) == unblocked_loss(*args)
+
+
+@pytest.mark.parametrize("cfg, halves", [
+    (BaselineConfig(n_factors=7, epochs=12, lr=0.02, seed=2, batch_size=999), True),
+    (BaselineConfig(n_factors=4, epochs=3, seed=0, batch_size=1024), False),
+], ids=["lr-halving", "steady"])
+def test_train_matches_reference_bits(cfg, halves):
+    # 40 users and 150 items: every batch repeats each user ~25 times
+    y = random_matrix(40, 150, _LOSS_BLOCK + 1500, seed=8)
+    assert y.n_observed > _LOSS_BLOCK and y.n_observed % cfg.batch_size
+    model = train_baseline(y, cfg)
+    ref, final_lr = reference_baseline(y, cfg)
+    assert (final_lr < cfg.lr) == halves
+    for name in ("user_factors", "item_factors", "user_bias", "item_bias"):
+        assert getattr(model, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert model.global_mean == ref.global_mean
 
 
 def test_deterministic_per_seed():
@@ -69,28 +125,12 @@ def test_deterministic_per_seed():
 
 def test_prediction_clamped():
     model = BaselineModel(
-        user_factors=np.array([[3.0]]), item_factors=np.array([[3.0]]),
-        user_bias=np.array([0.0]), item_bias=np.array([0.0]),
+        user_factors=np.array([[3.0], [-3.0]]), item_factors=np.array([[3.0]]),
+        user_bias=np.array([0.0, 0.0]), item_bias=np.array([0.0]),
         global_mean=3.6, max_rating=5,
     )
-    assert predict_baseline(model, 0, 0) == 5.0  # 3.6 + 9 clamps down
-    low = BaselineModel(
-        user_factors=np.array([[-3.0]]), item_factors=np.array([[3.0]]),
-        user_bias=np.array([0.0]), item_bias=np.array([0.0]),
-        global_mean=3.6, max_rating=5,
-    )
-    assert predict_baseline(low, 0, 0) == 1.0
-
-
-def test_cold_id_falls_back_to_known_terms():
-    model = BaselineModel(
-        user_factors=np.zeros((1, 2)), item_factors=np.zeros((1, 2)),
-        user_bias=np.array([0.5]), item_bias=np.array([-0.2]),
-        global_mean=3.6, max_rating=5,
-    )
-    assert predict_baseline(model, 5, 0) == pytest.approx(3.4)   # mu + item bias
-    assert predict_baseline(model, 0, 9) == pytest.approx(4.1)   # mu + user bias
-    assert predict_baseline(model, 7, 9) == pytest.approx(3.6)   # mu only
+    # 3.6 + 9 clamps down to 5, 3.6 - 9 clamps up to 1
+    assert predict_baseline_many(model, [0, 1], [0, 0]).tolist() == [5.0, 1.0]
 
 
 def test_all_zero_model_predicts_mean():
@@ -99,7 +139,7 @@ def test_all_zero_model_predicts_mean():
         user_bias=np.zeros(2), item_bias=np.zeros(2),
         global_mean=3.6, max_rating=5,
     )
-    assert predict_baseline(model, 0, 1) == pytest.approx(3.6)
+    assert predict_baseline_many(model, [0], [1]) == pytest.approx([3.6])
 
 
 def test_rounds_experiment_shapes_and_determinism():
@@ -117,6 +157,16 @@ def test_rounds_experiment_rejects_overlap():
     train_m, test_m = split(full, 0.8, seed=2)
     with pytest.raises(ValueError):
         rounds_experiment([full], test_m, BaselineConfig(epochs=1))
+
+
+def test_rounds_experiment_rejects_other_grid():
+    full = rank_one_matrix()
+    train_m, test_m = split(full, 0.8, seed=2)
+    wider = SparseRatingMatrix(8, 7, 5, train_m.users, train_m.items, train_m.ratings)
+    with pytest.raises(ValueError, match="differ"):
+        rounds_experiment([wider], test_m, BaselineConfig(epochs=1))
+    with pytest.raises(ValueError, match="differ"):
+        strip_overlap(wider, test_m)
 
 
 def test_strip_overlap_removes_only_test_cells():

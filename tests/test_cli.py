@@ -412,6 +412,61 @@ def test_baseline_rounds_single_snapshot(toy_files, capsys):
     assert len(lines) == 2 and lines[1].startswith("0,")
 
 
+def test_baseline_rounds_orders_snapshots_by_round_number(toy_files, capsys):
+    tmp_path, train_path, test_path = toy_files
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    # written out of order; as text, round_1000 would sort before round_101
+    for name in ("round_1000", "round_002", "round_101", "round_010"):
+        save_matrix(load_matrix(train_path), snaps / f"{name}.stmat")
+    out = tmp_path / "b.csv"
+    assert run(["baseline-rounds", snaps, "--test", test_path,
+                "--epochs", "1", "--out", out]) == 0
+    rounds = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert rounds == ["2", "10", "101", "1000"]
+
+
+def test_baseline_rounds_non_numeric_snapshot_is_an_error_line(toy_files, capsys):
+    tmp_path, train_path, test_path = toy_files
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    for name in ("round_000", "round_x"):
+        save_matrix(load_matrix(train_path), snaps / f"{name}.stmat")
+    assert run(["baseline-rounds", snaps, "--test", test_path,
+                "--out", tmp_path / "b.csv"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "round_x.stmat" in err[0]
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_baseline_rounds_grid_mismatch_is_an_error_line(toy_files, capsys):
+    tmp_path, train_path, test_path = toy_files
+    train_m = load_matrix(train_path)
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    small = train_m.select(train_m.users < 10)
+    save_matrix(SparseRatingMatrix(10, small.n_items, small.max_rating,
+                                   small.users, small.items, small.ratings),
+                snaps / "round_000.stmat")
+    assert run(["baseline-rounds", snaps, "--test", test_path,
+                "--out", tmp_path / "b.csv"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_evaluate_train_grid_mismatch_is_an_error_line(toy_files, capsys):
+    tmp_path, train_path, test_path = toy_files
+    y = load_matrix(train_path)
+    ckpt, small = tmp_path / "m.stmmmf", tmp_path / "small.stmat"
+    save_checkpoint(FactorModel(np.zeros((y.n_users, 1)), np.zeros((y.n_items, 1)),
+                                np.zeros((y.n_users, y.max_rating - 1))), ckpt)
+    save_matrix(SparseRatingMatrix.from_triples(10, y.n_items, y.max_rating, [(0, 0, 3)]),
+                small)
+    assert run(["evaluate", ckpt, "--test", test_path, "--train", small]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 # ------------------------------------------------------------- error boundary
 
 @pytest.mark.parametrize("argv, named", [
