@@ -6,7 +6,7 @@ import numpy as np
 
 from stmmmf import (
     FactorModel,
-    avg_threshold_gap,
+    avg_threshold_gaps,
     discretize,
     smooth_hinge,
     smooth_hinge_grad,
@@ -40,5 +40,6 @@ uneven = FactorModel(
     item_factors=np.ones((1, 1)),
     thresholds=np.array([[0.0, 1.0, 3.0, 4.0]]),
 )
-print("\naverage threshold gap of [0, 1, 3, 4]:", avg_threshold_gap(uneven, 0))
+gaps, _ = avg_threshold_gaps(uneven)
+print("\naverage threshold gap of [0, 1, 3, 4]:", float(gaps[0]))
 print("confidence bands are measured in units of this per-user gap.")

@@ -5,11 +5,8 @@ from .core import (
     FactorModel,
     Hyperparams,
     SparseRatingMatrix,
-    avg_threshold_gap,
     avg_threshold_gaps,
     discretize,
-    discretize_scores,
-    predict_score,
     smooth_hinge,
     smooth_hinge_grad,
     t_indicator,

@@ -2,8 +2,8 @@
 
 Holds the sparse rating matrix, the factor/threshold model, and the pure
 functions everything else composes: smooth hinge loss and its derivative,
-the per-threshold sign indicator, score prediction, score-to-rating
-discretization, and the average threshold gap used for confidence bands.
+the per-threshold sign indicator, score-to-rating discretization, and the
+per-user average threshold gaps used for confidence bands.
 """
 
 from __future__ import annotations
@@ -249,19 +249,6 @@ def t_indicator(r, y):
     return int(out) if out.ndim == 0 else out
 
 
-def predict_score(model: FactorModel, i: int, j: int) -> float:
-    """Real-valued score for (user i, item j): dot of their factor rows."""
-    return float(model.user_factors[i] @ model.item_factors[j])
-
-
-def discretize_scores(threshold_row: np.ndarray, scores) -> np.ndarray:
-    """Map scores to ratings against one user's threshold row; the
-    single-row form of discretize_rows, keeping the shape of scores."""
-    x = np.asarray(scores, dtype=np.float64)
-    theta = np.asarray(threshold_row, dtype=np.float64)
-    return discretize_rows(theta[None, :], x.reshape(1, -1)).reshape(x.shape)
-
-
 def discretize_rows(threshold_rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Row-wise discretization: row k of scores uses threshold row k.
 
@@ -288,24 +275,16 @@ def discretize(model: FactorModel, i: int, x: float) -> int:
     """Rating level whose threshold interval of user i contains score x."""
     if not np.isfinite(x):
         raise ValueError("score must be finite")
-    return int(discretize_scores(model.thresholds[i], np.float64(x)))
-
-
-def avg_threshold_gap(model: FactorModel, i: int) -> float:
-    """Average spacing of user i's consecutive thresholds, clamped at GAP_EPS.
-
-    Needs at least two stored thresholds (rating scale >= 3); a collapsed
-    or inverted row clamps to GAP_EPS so downstream confidence bands stay
-    well-formed.
-    """
-    gaps, _ = avg_threshold_gaps(model)
-    return float(gaps[i])
+    return int(discretize_rows(model.thresholds[i][None], np.array([[x]]))[0, 0])
 
 
 def avg_threshold_gaps(model: FactorModel):
     """Per-user average threshold gap and how many rows hit the clamp.
 
-    Returns (gaps, n_clamped) where gaps has shape (n_users,).
+    Returns (gaps, n_clamped) where gaps has shape (n_users,).  Needs at
+    least two stored thresholds (rating scale >= 3); a collapsed or
+    inverted row clamps to GAP_EPS so downstream confidence bands stay
+    well-formed.
     """
     if model.max_rating < 3:
         raise UnsupportedScaleError(

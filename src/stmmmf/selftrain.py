@@ -81,7 +81,9 @@ class IterationReport:
 
     observed/unobserved describe the training matrix entering the round;
     overlap and retained_frac compare this round's candidate set with the
-    previous one and are None on the first round.
+    previous one and are None on the first round.  steps, converged,
+    objective (the final one), kernel_calls and order_violations come
+    from the round's solve (see trainer.TrainTrace).
     """
 
     iteration: int
@@ -95,6 +97,11 @@ class IterationReport:
     gap_clamps: int
     test_mae: Optional[float]
     test_rmse: Optional[float]
+    steps: int
+    converged: bool
+    objective: float
+    kernel_calls: int
+    order_violations: int
 
     def to_json(self) -> str:
         fields = asdict(self)
@@ -349,7 +356,7 @@ def selftrain_loop(
             stop_reason = "empty_training_set"
             break
         try:
-            model, _ = train(y, cfg.hyperparams(), cfg.n_factors)
+            model, trace = train(y, cfg.hyperparams(), cfg.n_factors)
         except TrainingDivergedError:
             stop_reason = "diverged"
             break
@@ -380,6 +387,11 @@ def selftrain_loop(
             gap_clamps=n_clamped,
             test_mae=test_mae,
             test_rmse=test_rmse,
+            steps=trace.iterations,
+            converged=trace.converged,
+            objective=float(trace.objectives[-1]),
+            kernel_calls=trace.kernel_calls,
+            order_violations=trace.order_violations,
         )
         reports.append(report)
         if callback is not None:

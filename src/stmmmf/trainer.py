@@ -7,13 +7,15 @@ backtracking step control.  Also provides full-matrix completion and the
 textual checkpoint format.
 
 A solve builds one HingeLoss from the training matrix and the
-regularizer.  It holds what the matrix fixes: the sign matrix of every
-term, the per-user entry counts, the term buffers and, from the first
-gradient call on, the two CSR matrices (user-by-entry, and user-by-item
-with its transpose).  Each call computes only what depends on the model:
-the gathered score and threshold rows, the hinge value and coefficients
-of every term in place, the per-entry weights written into the CSR data,
-and three sparse products.
+regularizer.  It holds what the matrix fixes: the threshold-major
+(R-1, n_observed) sign matrix of every term, the per-user entry counts,
+one term buffer and, from the first gradient call on, the CSR matrices
+(user-by-entry, and user-by-item with its transpose).  Each call
+computes only what depends on the model: the entry scores, the
+threshold rows spread over each user's entries, the hinge value
+0.5 * ||c - 1||^2 - sum(min(z, 0)) with c = clip(z, 0, 1), the
+coefficients of every term in place, the per-entry weights written into
+the CSR data, and the sparse products.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class TrainTrace:
     iterations: int
     converged: bool
     order_violations: int
+    # Loss evaluations: the starting point plus one per trial step.
+    kernel_calls: int
 
 
 class HingeLoss:
@@ -60,21 +64,23 @@ class HingeLoss:
 
     The objective sums smooth_hinge(T * (theta_r - x)) over every observed
     entry and every threshold level r, plus reg/2 times the squared
-    Frobenius norms of the factor matrices.  What depends only on y is
-    built once per object, so a solve builds one and calls it per model.
+    Frobenius norms of the factor matrices.  The terms are laid out
+    threshold-major, one row of n_observed entries per level, so every
+    elementwise pass runs over long contiguous rows.  With
+    c = clip(z, 0, 1) the hinge sum is 0.5 * ||c - 1||^2 - sum(min(z, 0)),
+    taken in two reductions.  What depends only on y is built once per
+    object, so a solve builds one and calls it per model.
     """
 
     def __init__(self, y: SparseRatingMatrix, reg: float):
         if reg < 0:
             raise ValueError("reg must be >= 0")
         self.y, self.reg = y, reg
-        # Row k of the sign table holds T(r, k + 1) for r = 1..R-1; gathering
-        # row rating - 1 per entry gives the sign matrix.
-        signs = t_indicator(np.arange(1, y.max_rating), np.arange(1, y.max_rating + 1)[:, None])
-        self._t = np.take(signs.astype(np.float64), y.ratings - 1, axis=0)
+        # Row r - 1 holds T(r, rating) of every entry.
+        levels = np.arange(1, y.max_rating)
+        self._t = t_indicator(levels[:, None], y.ratings).astype(np.float64)
         self._counts = y.user_counts()
-        self._c = np.empty_like(self._t)
-        self._h = np.empty_like(self._t)
+        self._d = np.empty_like(self._t)
 
     @functools.cached_property
     def _csr(self):
@@ -89,24 +95,23 @@ class HingeLoss:
         return w, w.T, by_user
 
     def _terms(self, model: FactorModel):
-        """Objective value and c = clip(z, 0, 1) of every term's hinge
-        argument z; c lives in a buffer the next call overwrites."""
+        """Objective value and d = clip(z, 0, 1) - 1 of every term's hinge
+        argument z; d lives in a buffer the next call overwrites."""
         model.check_matches(self.y)
         U, V, y = model.user_factors, model.item_factors, self.y
         # Gathering rows by per-user counts gives the np.take(·, y.users)
         # values, because entries are sorted by user.
         x = np.einsum("ij,ij->i", np.repeat(U, self._counts, axis=0), np.take(V, y.items, axis=0))
-        z = np.repeat(model.thresholds, self._counts, axis=0)
-        z -= x[:, None]
+        z = np.repeat(model.thresholds.T, self._counts, axis=1)
+        z -= x
         z *= self._t
-        c = np.clip(z, 0.0, 1.0, out=self._c)
-        # smooth_hinge(z) = 0.5 * (1 - c)^2 - min(z, 0), in the same order.
-        h = np.subtract(1.0, c, out=self._h)
-        np.square(h, out=h)
-        h *= 0.5
-        h -= np.minimum(z, 0.0, out=z)
+        # smooth_hinge(z) = 0.5 * (1 - c)^2 - min(z, 0) with c = clip(z, 0, 1);
+        # c - 1 is exactly -(1 - c), so d * d has the bits of (1 - c)^2.
+        d = np.clip(z, 0.0, 1.0, out=self._d)
+        d -= 1.0
+        hinge = 0.5 * np.einsum("ij,ij->", d, d) - np.minimum(z, 0.0, out=z).sum()
         norms = np.sum(U**2) + np.sum(V**2)
-        return float(h.sum() + 0.5 * self.reg * norms), c
+        return float(hinge + 0.5 * self.reg * norms), d
 
     def value(self, model: FactorModel) -> float:
         """The objective alone, without building gradients."""
@@ -116,20 +121,21 @@ class HingeLoss:
         """(value, (g_user, g_item, g_theta)); users or items with no
         observed ratings only receive the regularizer term (zero for
         thresholds)."""
-        value, c = self._terms(model)
+        value, coef = self._terms(model)
         # smooth_hinge_grad(z) = c - 1, scaled by the sign of each term.
-        coef = c
-        coef -= 1.0
         coef *= self._t
         # Each entry's weight adds its terms in threshold order from 0.0,
         # like the per-threshold reference loop.
         w, w_t, by_user = self._csr
         weights = w.data
         weights.fill(0.0)
-        for column in coef.T:
-            weights += column
+        for row in coef:
+            weights += row
         U, V, reg = model.user_factors, model.item_factors, self.reg
-        return value, (reg * U - w @ V, reg * V - w_t @ U, by_user @ coef)
+        # One matvec per threshold sums each user's entries from 0.0 in
+        # entry order; by_user @ coef.T would first copy coef transposed.
+        g_theta = np.column_stack([by_user @ row for row in coef])
+        return value, (reg * U - w @ V, reg * V - w_t @ U, g_theta)
 
 
 def loss_and_grad(model: FactorModel, y: SparseRatingMatrix, reg: float):
@@ -197,6 +203,7 @@ def train(y: SparseRatingMatrix, params: Hyperparams, n_factors: int):
     model = initial_model(y, n_factors, params.seed)
     loss = HingeLoss(y, params.reg)
     current, grads = loss(model)
+    kernel_calls = 1
     if not np.isfinite(current):
         raise TrainingDivergedError("initial objective is not finite")
     objectives = [current]
@@ -209,6 +216,7 @@ def train(y: SparseRatingMatrix, params: Hyperparams, n_factors: int):
         while lr >= _MIN_LR:
             candidate = gd_step(model, grads, lr)
             value, candidate_grads = loss(candidate)
+            kernel_calls += 1
             if np.isfinite(value) and value <= current:
                 proposal = (candidate, value, candidate_grads)
                 break
@@ -228,7 +236,7 @@ def train(y: SparseRatingMatrix, params: Hyperparams, n_factors: int):
             break
         if accepted % _LR_RESTORE_EVERY == 0:
             lr = params.lr
-    trace = TrainTrace(np.array(objectives), accepted, converged, violations)
+    trace = TrainTrace(np.array(objectives), accepted, converged, violations, kernel_calls)
     return model, trace
 
 

@@ -6,12 +6,9 @@ from stmmmf.core import (
     FactorModel,
     SparseRatingMatrix,
     UnsupportedScaleError,
-    avg_threshold_gap,
     avg_threshold_gaps,
     discretize,
     discretize_rows,
-    discretize_scores,
-    predict_score,
     smooth_hinge,
     smooth_hinge_grad,
     t_indicator,
@@ -112,21 +109,13 @@ def test_t_indicator_single_flip():
 
 # --------------------------------------------------------------- score + bins
 
-def test_predict_score():
-    m = FactorModel(np.array([[1.0, 2.0], [1.0, 0.0]]),
-                    np.array([[0.5, 0.25], [0.0, 1.0], [0.0, 0.0]]),
-                    np.zeros((2, 4)))
-    assert predict_score(m, 0, 0) == 1.0
-    assert predict_score(m, 0, 2) == 0.0
-    assert predict_score(m, 1, 1) == 0.0
-
-
 def test_discretize_examples():
     m = model_with_thresholds([[1.5, 2.5, 3.5, 4.5]])
     assert discretize(m, 0, 3.0) == 3
     assert discretize(m, 0, -10.0) == 1
     # boundary goes to the lower interval
     assert discretize(m, 0, 4.5) == 4
+    assert discretize(m, -1, 3.0) == 3  # user indices follow NumPy's rules
 
 
 def test_discretize_partitions_the_line():
@@ -134,7 +123,7 @@ def test_discretize_partitions_the_line():
     theta = np.sort(rng.normal(0, 2, 4))
     m = model_with_thresholds([theta])
     xs = np.r_[rng.uniform(-8, 8, 300), theta]  # include exact boundaries
-    ratings = discretize_scores(theta, xs)
+    ratings = discretize_rows(theta[None, :], xs[None, :])[0]
     assert np.all((ratings >= 1) & (ratings <= 5))
     order = np.argsort(xs)
     assert np.all(np.diff(ratings[order]) >= 0)  # monotone in x
@@ -144,9 +133,11 @@ def test_discretize_partitions_the_line():
 
 def test_discretize_unsorted_row_scans_in_order():
     # (theta_1, theta_2] is empty when the row inverts; first match wins
-    assert int(discretize_scores(np.array([2.0, 1.0]), 1.5)) == 1
-    assert int(discretize_scores(np.array([2.0, 1.0]), 5.0)) == 3
-    assert int(discretize_scores(np.array([2.0, 1.0]), -1.0)) == 1
+    m = model_with_thresholds([[2.0, 1.0]])
+    assert discretize(m, 0, 1.5) == 1
+    assert discretize(m, 0, 5.0) == 3
+    assert discretize(m, 0, -1.0) == 1
+    assert discretize_rows(m.thresholds, np.array([[1.5, 5.0, -1.0]])).tolist() == [[1, 3, 1]]
 
 
 def test_discretize_rows_matches_scalar():
@@ -154,27 +145,29 @@ def test_discretize_rows_matches_scalar():
     theta = np.sort(rng.normal(0, 1.5, (6, 4)), axis=1)
     x = rng.uniform(-4, 4, (6, 10))
     block = discretize_rows(theta, x)
+    m = model_with_thresholds(theta)
     for i in range(6):
         for j in range(10):
-            assert block[i, j] == int(discretize_scores(theta[i], x[i, j]))
+            assert block[i, j] == discretize(m, i, x[i, j])
 
 
 # ------------------------------------------------------------------- gaps
 
 def test_avg_threshold_gap_examples():
-    m = model_with_thresholds([[1.0, 2.0, 3.0, 4.0]])
-    assert avg_threshold_gap(m, 0) == 1.0
-    m = model_with_thresholds([[0.0, 1.0, 3.0, 4.0]])
-    assert avg_threshold_gap(m, 0) == pytest.approx(4.0 / 3.0)
+    m = model_with_thresholds([[1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 3.0, 4.0]])
+    gaps, n_clamped = avg_threshold_gaps(m)
+    assert gaps[0] == 1.0
+    assert gaps[1] == pytest.approx(4.0 / 3.0)
+    assert n_clamped == 0
     m = model_with_thresholds([[-1.0, 1.0]])
-    assert avg_threshold_gap(m, 0) == 2.0
+    assert avg_threshold_gaps(m)[0].tolist() == [2.0]
 
 
 def test_avg_threshold_gap_uniform_rows_exact():
     for gap in (0.25, 1.0, 3.5):
         theta = np.arange(4) * gap
         m = model_with_thresholds([theta])
-        assert avg_threshold_gap(m, 0) == gap
+        assert avg_threshold_gaps(m)[0][0] == gap
 
 
 def test_avg_threshold_gap_clamps_and_counts():
@@ -188,7 +181,7 @@ def test_avg_threshold_gap_clamps_and_counts():
 def test_avg_threshold_gap_needs_three_levels():
     m = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 1)))
     with pytest.raises(UnsupportedScaleError):
-        avg_threshold_gap(m, 0)
+        avg_threshold_gaps(m)
 
 
 # ------------------------------------------------------------- matrix type

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from stmmmf.selftrain import (
     skew_allocation,
 )
 from stmmmf.synthetic import planted_matrix, planted_model
+from stmmmf.trainer import train
 
 UNIT_THETA = [1.0, 2.0, 3.0, 4.0]  # average gap exactly 1
 
@@ -389,3 +392,23 @@ def test_report_serialization():
     assert row[0] == "1" and row[6] == ""
     row2 = result.reports[1].to_csv_row()
     assert row2[6] != ""
+
+
+def test_reports_carry_solver_stats():
+    train_m, test_m = small_problem()
+    cfg = loop_config(max_rounds=2)
+    result = selftrain_loop(train_m, cfg, test_m)
+    for report in result.reports:
+        fields = json.loads(report.to_json())
+        assert fields["kernel_calls"] >= fields["steps"] + 1
+        assert 0 <= fields["steps"] <= cfg.gd_iters
+        assert isinstance(fields["converged"], bool)
+        assert np.isfinite(fields["objective"]) and fields["objective"] > 0
+        assert fields["order_violations"] >= 0
+        assert len(report.to_csv_row()) == 10
+    # round 1 solves the input matrix, so it reports that solve's trace
+    _, trace = train(train_m, cfg.hyperparams(), cfg.n_factors)
+    first = result.reports[0]
+    assert (first.steps, first.converged, first.kernel_calls, first.order_violations) == (
+        trace.iterations, trace.converged, trace.kernel_calls, trace.order_violations)
+    assert first.objective == trace.objectives[-1]

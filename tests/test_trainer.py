@@ -85,6 +85,42 @@ def loop_loss_and_grad(model, y, reg):
     return value, (reg * U - w @ V, reg * V - w.T @ U, g_theta)
 
 
+class RowMajorHingeLoss(HingeLoss):
+    """The entry-major kernel: terms as (n_observed, R-1) rows, the hinge
+    value summed from 0.5 * (1 - c)^2 - min(z, 0) per term, and the
+    threshold gradient from one multi-vector product."""
+
+    def __init__(self, y, reg):
+        self.y, self.reg = y, reg
+        levels = np.arange(1, y.max_rating)
+        self._t = np.where(levels >= y.ratings[:, None], 1.0, -1.0)
+        self._counts = y.user_counts()
+        self._c = np.empty_like(self._t)
+        self._h = np.empty_like(self._t)
+
+    def __call__(self, model):
+        U, V, y = model.user_factors, model.item_factors, self.y
+        x = np.einsum("ij,ij->i", np.repeat(U, self._counts, axis=0), np.take(V, y.items, axis=0))
+        z = np.repeat(model.thresholds, self._counts, axis=0)
+        z -= x[:, None]
+        z *= self._t
+        c = np.clip(z, 0.0, 1.0, out=self._c)
+        h = np.subtract(1.0, c, out=self._h)
+        np.square(h, out=h)
+        h *= 0.5
+        h -= np.minimum(z, 0.0, out=z)
+        value = float(h.sum() + 0.5 * self.reg * (np.sum(U**2) + np.sum(V**2)))
+        coef = c
+        coef -= 1.0
+        coef *= self._t
+        w, w_t, by_user = self._csr
+        w.data.fill(0.0)
+        for column in coef.T:
+            w.data += column
+        reg = self.reg
+        return value, (reg * U - w @ V, reg * V - w_t @ U, by_user @ coef)
+
+
 def fd_gradients(model, y, reg, h=1e-5):
     u, v, theta = model.user_factors, model.item_factors, model.thresholds
 
@@ -281,6 +317,7 @@ def test_train_evaluates_once_per_trial_step(monkeypatch):
     # lr 10 overshoots, so some trial steps are rejected and halved
     _, trace = train(y, Hyperparams(reg=0.2, lr=10.0, max_iters=20, tol=0.0, seed=5), 3)
     assert len(values) > 1 + trace.iterations
+    assert trace.kernel_calls == len(values)
     # replaying the calls as start point plus trial steps gives the trace
     current, accepted = values[0], []
     for value in values[1:]:
@@ -288,6 +325,27 @@ def test_train_evaluates_once_per_trial_step(monkeypatch):
             current = value
             accepted.append(value)
     assert [values[0], *accepted] == list(trace.objectives)
+
+
+@pytest.mark.parametrize("max_rating", [2, 5, 10])
+def test_train_matches_row_major_kernel_bits(monkeypatch, max_rating):
+    """A whole solve with the threshold-major kernel gives the same model
+    bytes as with the entry-major one; only the objective's last bits may
+    move, because its terms are summed in another order.  Ten factors, the
+    loop's default, give the score einsum rows as long as in real solves."""
+    rng = np.random.default_rng(max_rating)
+    triples = [(i, j, int(rng.integers(1, max_rating + 1)))
+               for i in range(60) for j in range(80) if rng.random() < 0.3]
+    y = SparseRatingMatrix.from_triples(60, 80, max_rating, triples)
+    # lr 0.5 overshoots on some steps, so rejected trial steps are covered
+    params = Hyperparams(reg=1.0, lr=0.5, max_iters=40, tol=0.0, seed=2)
+    model, trace = train(y, params, 10)
+    monkeypatch.setattr(trainer, "HingeLoss", RowMajorHingeLoss)
+    ref_model, ref_trace = train(y, params, 10)
+    for name in ("user_factors", "item_factors", "thresholds"):
+        assert getattr(model, name).tobytes() == getattr(ref_model, name).tobytes()
+    assert (trace.iterations, trace.kernel_calls) == (ref_trace.iterations, ref_trace.kernel_calls)
+    np.testing.assert_allclose(trace.objectives, ref_trace.objectives, rtol=1e-12, atol=0)
 
 
 def test_train_rejects_empty_matrix():
