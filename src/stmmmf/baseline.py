@@ -25,6 +25,14 @@ class BaselineConfig:
     seed: int = 0
     batch_size: int = 1024
 
+    def __post_init__(self):
+        # epochs = 0 (a global-mean model) and n_factors = 0 stay valid.
+        for name, low in (("n_factors", 0), ("epochs", 0), ("reg", 0), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        if self.lr <= 0:
+            raise ValueError("lr must be > 0")
+
 
 @dataclass(frozen=True, eq=False)
 class BaselineModel:
@@ -111,13 +119,6 @@ def predict_baseline_many(model: BaselineModel, users, items) -> np.ndarray:
     return np.clip(pred, 1.0, model.max_rating)
 
 
-def _check_grid(y: SparseRatingMatrix, test: SparseRatingMatrix):
-    """Raise ValueError unless y and test share users, items and scale."""
-    grid, test_grid = ((m.n_users, m.n_items, m.max_rating) for m in (y, test))
-    if grid != test_grid:
-        raise ValueError(f"round matrix grid {grid} differs from the test set's {test_grid}")
-
-
 def strip_overlap(y: SparseRatingMatrix, test: SparseRatingMatrix) -> SparseRatingMatrix:
     """Drop entries of y sitting on test cells.
 
@@ -127,7 +128,7 @@ def strip_overlap(y: SparseRatingMatrix, test: SparseRatingMatrix) -> SparseRati
     set; original training entries are never affected because the split
     is disjoint.  Raises ValueError when the grids differ.
     """
-    _check_grid(y, test)
+    y.check_grid(test, "round matrix")
     keep = ~np.isin(y.observed_keys(), test.observed_keys())
     return y if keep.all() else y.select(keep)
 
@@ -141,7 +142,7 @@ def rounds_experiment(matrices, test: SparseRatingMatrix, cfg: BaselineConfig):
     """
     out: list[MetricsSnapshot] = []
     for y in matrices:
-        _check_grid(y, test)
+        y.check_grid(test, "round matrix")
         if np.any(y.contains(test.users, test.items)):
             raise ValueError("round matrix overlaps the test set")
         model = train_baseline(y, cfg)

@@ -224,6 +224,11 @@ def _round_number(path: Path) -> int:
 
 
 def cmd_baseline_rounds(args, parser) -> int:
+    try:
+        cfg = BaselineConfig(n_factors=args.dim, reg=args.reg, epochs=args.epochs,
+                             lr=args.lr, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     snap_dir = Path(args.snapshots)
     numbered = sorted((_round_number(f), f) for f in snap_dir.glob("round_*.stmat"))
     if not numbered:
@@ -233,10 +238,6 @@ def cmd_baseline_rounds(args, parser) -> int:
         )
     test = load_matrix(args.test)
     matrices = [strip_overlap(load_matrix(f), test) for _, f in numbered]
-    cfg = BaselineConfig(
-        n_factors=args.dim, reg=args.reg, epochs=args.epochs,
-        lr=args.lr, seed=args.seed,
-    )
     snapshots = rounds_experiment(matrices, test, cfg)
     with open_text(args.out, "w") as out:
         out.write("round,mae,rmse\n")

@@ -133,6 +133,13 @@ class SparseRatingMatrix:
         h.update(self.ratings.tobytes())
         return h.hexdigest()
 
+    def check_grid(self, test: "SparseRatingMatrix", name: str):
+        """Raise ValueError unless this matrix, called `name` in the message,
+        has the users, items and scale of the held-out matrix `test`."""
+        grid, test_grid = ((m.n_users, m.n_items, m.max_rating) for m in (self, test))
+        if grid != test_grid:
+            raise ValueError(f"{name} grid {grid} differs from the test set's {test_grid}")
+
     def select(self, idx) -> "SparseRatingMatrix":
         """The entries picked by an index array or boolean mask, same grid."""
         return SparseRatingMatrix(
@@ -192,6 +199,17 @@ class FactorModel:
     def max_rating(self) -> int:
         return self.thresholds.shape[1] + 1
 
+    def scores(self, users, items) -> np.ndarray:
+        """Scores U[users] . V[items] of (user, item) index arrays."""
+        U, V = self.user_factors, self.item_factors
+        return np.einsum("ij,ij->i", np.take(U, users, axis=0), np.take(V, items, axis=0))
+
+    def score_blocks(self, block: int = 256):
+        """Yield (rows, U[rows] @ V.T) for consecutive slices of users."""
+        for start in range(0, self.n_users, block):
+            rows = slice(start, start + block)
+            yield rows, self.user_factors[rows] @ self.item_factors.T
+
     def check_matches(self, y: SparseRatingMatrix):
         """Raise ValueError unless y has this model's users, items and scale."""
         if self.n_users != y.n_users or self.n_items != y.n_items:
@@ -249,23 +267,25 @@ def t_indicator(r, y):
     return int(out) if out.ndim == 0 else out
 
 
-def discretize_rows(threshold_rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Row-wise discretization: row k of scores uses threshold row k.
+def discretize_rows(threshold_rows: np.ndarray, scores: np.ndarray, margin=0.0) -> np.ndarray:
+    """Row-wise band lookup: row k of scores uses threshold row k.
 
-    threshold_rows is (B, R-1) and scores is (B, m).  Rating r covers the
-    half-open interval (theta_{r-1}, theta_r] with sentinels -inf and +inf
-    at the ends.  Thresholds are scanned in order and the first containing
-    interval wins, which makes the result deterministic even if a row is
-    unsorted and coincides with interval lookup when it is sorted.
+    threshold_rows is (B, R-1), scores is (B, m) and margin is a scalar or
+    one value per row.  Rating r's band is (theta_{r-1} + margin,
+    theta_r - margin] with sentinels -inf and +inf at the ends.  Bands are
+    scanned in order and the first that holds the score wins, so the result
+    is deterministic even on an unsorted row; a score no band holds gets 0.
+    At margin 0 the bands cover the line: this is interval lookup.
     """
     theta = np.asarray(threshold_rows, dtype=np.float64)
     x = np.asarray(scores, dtype=np.float64)
+    margin = np.reshape(margin, (-1, 1))
     n_levels = theta.shape[1] + 1
     out = np.zeros(x.shape, dtype=np.int64)
     lo = np.full((x.shape[0], 1), -np.inf)
     for r in range(1, n_levels + 1):
         hi = theta[:, r - 1 : r] if r < n_levels else np.full((x.shape[0], 1), np.inf)
-        hit = (out == 0) & (lo < x) & (x <= hi)
+        hit = (out == 0) & (lo + margin < x) & (x <= hi - margin)
         out[hit] = r
         lo = hi
     return out

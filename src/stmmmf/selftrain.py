@@ -20,6 +20,7 @@ from .core import (
     Hyperparams,
     SparseRatingMatrix,
     avg_threshold_gaps,
+    discretize_rows,
 )
 from .evaluation import snapshot
 from .trainer import TrainingDivergedError, predict_ratings, train
@@ -125,71 +126,50 @@ class SelfTrainResult:
 
 
 def high_confidence_candidates(
-    model: FactorModel, y: SparseRatingMatrix, tau_augment: float, block: int = 256
+    model: FactorModel, y: SparseRatingMatrix, tau_augment: float
 ) -> SparseRatingMatrix:
     """Unobserved cells whose score sits at least tau_augment average gaps
     inside a rating interval, as a matrix on y's grid rated with that level.
 
-    The interval for rating r is (theta_{r-1} + g*tau, theta_r - g*tau)
-    with g the user's average threshold gap and virtual sentinels at
-    -inf/+inf, so the bands for ratings 1 and R are one-sided.  The
-    smallest matching rating wins when thresholds are unsorted.
+    The band for rating r is (theta_{r-1} + g*tau, theta_r - g*tau], g the
+    user's average threshold gap, scanned by core.discretize_rows: the
+    bands for ratings 1 and R are one-sided, a score exactly at
+    theta_r - g*tau counts, and the smallest matching rating wins.
     """
     if not 0.0 < tau_augment < 0.5:
         raise ValueError("tau_augment must lie in (0, 0.5)")
     model.check_matches(y)
     gaps, _ = avg_threshold_gaps(model)
     margin = gaps * tau_augment
-    theta = model.thresholds
-    n_levels = y.max_rating
     observed = y.observed_mask()
-    out_u, out_i, out_r = [], [], []
-    for start in range(0, y.n_users, block):
-        stop = min(start + block, y.n_users)
-        scores = model.user_factors[start:stop] @ model.item_factors.T
-        m = margin[start:stop, None]
-        assigned = np.zeros(scores.shape, dtype=np.int64)
-        free = ~observed[start:stop]
-        lo = np.full((stop - start, 1), -np.inf)
-        for r in range(1, n_levels + 1):
-            hi = theta[start:stop, r - 1 : r] if r < n_levels else np.full((stop - start, 1), np.inf)
-            hit = (assigned == 0) & free & (scores > lo + m) & (scores < hi - m)
-            assigned[hit] = r
-            lo = hi
-        bu, bi = np.nonzero(assigned)
-        out_u.append(bu + start)
-        out_i.append(bi)
-        out_r.append(assigned[bu, bi])
-    return SparseRatingMatrix(
-        y.n_users, y.n_items, y.max_rating,
-        np.concatenate(out_u) if out_u else np.empty(0, np.int64),
-        np.concatenate(out_i) if out_i else np.empty(0, np.int64),
-        np.concatenate(out_r) if out_r else np.empty(0, np.int64),
-    )
+    found = []
+    for rows, scores in model.score_blocks():
+        level = discretize_rows(model.thresholds[rows], scores, margin[rows])
+        level[observed[rows]] = 0
+        bu, bi = np.nonzero(level)
+        found.append((bu + rows.start, bi, level[bu, bi]))
+    users, items, ratings = map(np.concatenate, zip(*found))
+    return SparseRatingMatrix(y.n_users, y.n_items, y.max_rating, users, items, ratings)
 
 
 def low_confidence_observed(
     model: FactorModel, y: SparseRatingMatrix, tau_refine: float
 ):
-    """Observed cells whose score lies within tau_refine average gaps of
-    any stored threshold of its user.
+    """Observed cells whose score no band at tau_refine average gaps holds
+    (bands as in high_confidence_candidates), as (users, items) arrays.
 
-    Returns (users, items) index arrays.  Bands exist only around the
-    R-1 stored thresholds; the virtual sentinels carry no band.
+    On a sorted threshold row that means within tau_refine gaps of a stored
+    threshold, apart from exact float ties.  On any row, a cell confident
+    at a larger tau is never flagged.
     """
     if not 0.0 < tau_refine < 0.5:
         raise ValueError("tau_refine must lie in (0, 0.5)")
     model.check_matches(y)
     gaps, _ = avg_threshold_gaps(model)
-    scores = np.einsum(
-        "ij,ij->i", model.user_factors[y.users], model.item_factors[y.items]
-    )
-    m = gaps[y.users] * tau_refine
-    in_band = np.zeros(y.n_observed, dtype=bool)
-    for r in range(1, y.max_rating):
-        th = model.thresholds[y.users, r - 1]
-        in_band |= (scores > th - m) & (scores < th + m)
-    return y.users[in_band], y.items[in_band]
+    scores = model.scores(y.users, y.items)[:, None]
+    margin = gaps[y.users] * tau_refine
+    low = discretize_rows(model.thresholds[y.users], scores, margin)[:, 0] == 0
+    return y.users[low], y.items[low]
 
 
 def skew_allocation(shares, total: int) -> np.ndarray:
@@ -338,10 +318,7 @@ def selftrain_loop(
     collected so far are returned with stop_reason "diverged".
     """
     if test is not None:
-        if (test.n_users, test.n_items, test.max_rating) != (
-            y0.n_users, y0.n_items, y0.max_rating
-        ):
-            raise ValueError("test matrix shape differs from the training matrix")
+        y0.check_grid(test, "training matrix")
         if np.any(y0.contains(test.users, test.items)):
             raise ValueError("test matrix overlaps the training matrix")
     y = y0

@@ -136,9 +136,7 @@ def synthetic_ratings_file(
         pos += mine.size
     assert pos == n_ratings
 
-    scores = np.einsum(
-        "ij,ij->i", model.user_factors[users], model.item_factors[items]
-    ) + rng.normal(0.0, 0.7, size=n_ratings)
+    scores = model.scores(users, items) + rng.normal(0.0, 0.7, size=n_ratings)
     ratings = discretize_rows(model.thresholds[users], scores[:, None])[:, 0]
     stamps = rng.integers(874_000_000, 894_000_000, size=n_ratings)
 

@@ -240,13 +240,11 @@ def train(y: SparseRatingMatrix, params: Hyperparams, n_factors: int):
     return model, trace
 
 
-def predict_all(model: FactorModel, block: int = 256) -> np.ndarray:
+def predict_all(model: FactorModel) -> np.ndarray:
     """Dense rating predictions for every cell (discretized scores)."""
     out = np.empty((model.n_users, model.n_items), dtype=np.int64)
-    for start in range(0, model.n_users, block):
-        stop = min(start + block, model.n_users)
-        scores = model.user_factors[start:stop] @ model.item_factors.T
-        out[start:stop] = discretize_rows(model.thresholds[start:stop], scores)
+    for rows, scores in model.score_blocks():
+        out[rows] = discretize_rows(model.thresholds[rows], scores)
     return out
 
 
@@ -267,8 +265,7 @@ def predict_ratings(model: FactorModel, users, items, trained_on=None) -> np.nda
     """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
-    scores = np.einsum("ij,ij->i", model.user_factors[users], model.item_factors[items])
-    out = discretize_rows(model.thresholds[users], scores[:, None])[:, 0]
+    out = discretize_rows(model.thresholds[users], model.scores(users, items)[:, None])[:, 0]
     if trained_on is not None:
         cold = trained_on.user_counts() == 0
         out[cold[users]] = (model.max_rating + 1) // 2

@@ -182,3 +182,18 @@ def test_empty_training_rejected():
     empty = SparseRatingMatrix.from_triples(2, 2, 5, [])
     with pytest.raises(ValueError):
         train_baseline(empty, BaselineConfig())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", -3), ("lr", 0.0), ("reg", -1.0), ("n_factors", -1), ("batch_size", 0),
+])
+def test_config_rejects_untrainable(field, value):
+    with pytest.raises(ValueError, match=field):
+        BaselineConfig(**{field: value})
+
+
+def test_zero_factors_is_a_bias_model():
+    y = rank_one_matrix()
+    model = train_baseline(y, BaselineConfig(n_factors=0, epochs=5, seed=0))
+    assert model.user_factors.shape == (8, 0)
+    assert np.all(np.isfinite(predict_baseline_many(model, y.users, y.items)))

@@ -309,7 +309,12 @@ def test_gridsearch_bad_grid_is_usage_error(toy_files, grid):
     ["split", "{train}", "--frac", "1.0"],
     ["gridsearch", "{train}", "--runs", "0"],
     ["gridsearch", "{train}", "--lambda-grid", "0.2,x"],
-], ids=["selftrain-dim", "split-frac", "gridsearch-runs", "gridsearch-grid"])
+    ["baseline-rounds", "{train}", "--test", "{train}", "--epochs", "-3"],
+    ["baseline-rounds", "{train}", "--test", "{train}", "--lr", "0"],
+    ["baseline-rounds", "{train}", "--test", "{train}", "--reg", "-1"],
+    ["baseline-rounds", "{train}", "--test", "{train}", "--dim", "-1"],
+], ids=["selftrain-dim", "split-frac", "gridsearch-runs", "gridsearch-grid",
+        "baseline-epochs", "baseline-lr", "baseline-reg", "baseline-dim"])
 def test_handler_usage_error_prints_command_usage(toy_files, capsys, argv):
     _, train_path, _ = toy_files
     with pytest.raises(SystemExit) as exc:  # raised before any output is written

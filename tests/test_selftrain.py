@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from stmmmf.core import FactorModel, SparseRatingMatrix, discretize
+from stmmmf.core import FactorModel, SparseRatingMatrix, avg_threshold_gaps, discretize
 from stmmmf import selftrain
 from stmmmf.evaluation import MetricsSnapshot, split
 from stmmmf.selftrain import (
@@ -118,6 +118,103 @@ def test_bands_disjoint_when_gaps_uniform():
     y_full = SparseRatingMatrix.from_triples(1, scores.size, 5, all_cells)
     lo_users, lo_items = low_confidence_observed(model, y_full, tau2)
     assert set(hi.items).isdisjoint(set(lo_items))
+
+
+def test_band_edges_follow_the_half_open_rule():
+    # band 3 at tau 0.25 is (2.25, 2.75]: its right edge is a candidate, and
+    # its left edge is held by no band, so an observed cell there is refined
+    model, y_empty = band_model([2.75, 2.25])
+    got = high_confidence_candidates(model, y_empty, 0.25)
+    assert list(got.items) == [0] and list(got.ratings) == [3]
+    y_full = SparseRatingMatrix.from_triples(1, 2, 5, [(0, 0, 3), (0, 1, 3)])
+    assert list(low_confidence_observed(model, y_full, 0.25)[1]) == [1]
+
+
+def open_scan_candidates(model, y, tau):
+    """Reference: the open banded scan, (theta_{r-1} + m, theta_r - m) with
+    m = tau * gap, over unobserved cells, as a dense level matrix."""
+    gaps, _ = avg_threshold_gaps(model)
+    margin = gaps[:, None] * tau
+    scores = model.user_factors @ model.item_factors.T
+    n_levels = model.max_rating
+    assigned = np.zeros(scores.shape, dtype=np.int64)
+    free = ~y.observed_mask()
+    lo = np.full((model.n_users, 1), -np.inf)
+    for r in range(1, n_levels + 1):
+        hi = model.thresholds[:, r - 1 : r] if r < n_levels else np.full((model.n_users, 1), np.inf)
+        hit = (assigned == 0) & free & (scores > lo + margin) & (scores < hi - margin)
+        assigned[hit] = r
+        lo = hi
+    return assigned
+
+
+def threshold_loop_refinement(model, y, tau):
+    """Reference: observed cells within tau gaps of any stored threshold."""
+    gaps, _ = avg_threshold_gaps(model)
+    scores = np.einsum("ij,ij->i", model.user_factors[y.users], model.item_factors[y.items])
+    m = gaps[y.users] * tau
+    in_band = np.zeros(y.n_observed, dtype=bool)
+    for r in range(1, y.max_rating):
+        th = model.thresholds[y.users, r - 1]
+        in_band |= (scores > th - m) & (scores < th + m)
+    return y.users[in_band], y.items[in_band]
+
+
+def random_band_instance(seed, sort_rows):
+    """Random 30 x 400 model whose threshold rows have non-uniform positive
+    gaps, and a 30 % observed matrix; unless sort_rows, every other row has
+    its middle thresholds swapped (out of order, same average gap)."""
+    n_users, n_items = 30, 400
+    rng = np.random.default_rng(seed)
+    theta = np.cumsum(rng.uniform(0.2, 2.0, (n_users, 4)), axis=1) - 3.0
+    if not sort_rows:
+        theta[::2, [1, 2]] = theta[::2, [2, 1]]
+    model = FactorModel(rng.normal(0, 1.2, (n_users, 3)), rng.normal(0, 1.2, (n_items, 3)), theta)
+    users, items = np.nonzero(rng.random((n_users, n_items)) < 0.3)
+    y = SparseRatingMatrix(n_users, n_items, 5, users, items, rng.integers(1, 6, users.size))
+    return model, y
+
+
+@pytest.mark.parametrize("sort_rows", [True, False], ids=["sorted", "unsorted"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_candidates_match_open_scan_reference(seed, sort_rows):
+    model, y = random_band_instance(seed, sort_rows)
+    for tau in (0.1, 0.3, 0.4999):
+        got = high_confidence_candidates(model, y, tau)
+        assert len(got) > 0
+        np.testing.assert_array_equal(got.to_dense(), open_scan_candidates(model, y, tau))
+
+
+@pytest.mark.parametrize("sort_rows", [True, False], ids=["sorted", "unsorted"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_refinement_matches_threshold_loop_on_sorted_rows(seed, sort_rows):
+    model, y = random_band_instance(seed, sort_rows)
+    sorted_rows = np.all(np.diff(model.thresholds, axis=1) >= 0, axis=1)
+    keep = sorted_rows[y.users]
+    assert keep.any()
+    on_sorted = y.select(keep)
+    for tau in (0.05, 0.15, 0.3):
+        got_u, got_i = low_confidence_observed(model, on_sorted, tau)
+        want_u, want_i = threshold_loop_refinement(model, on_sorted, tau)
+        assert got_u.size > 0
+        np.testing.assert_array_equal(got_u, want_u)
+        np.testing.assert_array_equal(got_i, want_i)
+
+
+def test_bands_disjoint_on_any_rows():
+    # half the rows are out of order: a cell deep inside band r at tau1 can
+    # still sit within tau2 gaps of a threshold stored out of place, so
+    # refinement must mean "no band at tau2 holds the score"
+    model, _ = random_band_instance(0, sort_rows=False)
+    assert np.any(np.diff(model.thresholds, axis=1) < 0)
+    n_users, n_items = model.n_users, model.n_items
+    empty = SparseRatingMatrix.from_triples(n_users, n_items, 5, [])
+    users, items = np.divmod(np.arange(n_users * n_items), n_items)
+    full = SparseRatingMatrix(n_users, n_items, 5, users, items, np.ones_like(users))
+    confident = high_confidence_candidates(model, empty, 0.3)
+    low_u, low_i = low_confidence_observed(model, full, 0.15)
+    assert len(confident) > 0 and low_u.size > 0
+    assert np.intersect1d(confident.observed_keys(), low_u * n_items + low_i).size == 0
 
 
 # ------------------------------------------------------------ skew allocation
