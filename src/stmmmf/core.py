@@ -17,6 +17,9 @@ import numpy as np
 # well-formed when a learned threshold row collapses or inverts.
 GAP_EPS = 1e-6
 
+# Users per block of the dense score matmul in FactorModel.score_blocks.
+SCORE_BLOCK = 256
+
 
 class UnsupportedScaleError(ValueError):
     """Raised when an operation needs a wider rating scale than provided."""
@@ -134,8 +137,7 @@ class SparseRatingMatrix:
         return h.hexdigest()
 
     def check_grid(self, test: "SparseRatingMatrix", name: str):
-        """Raise ValueError unless this matrix, called `name` in the message,
-        has the users, items and scale of the held-out matrix `test`."""
+        """Raise ValueError, naming this matrix `name`, unless its grid is `test`'s."""
         grid, test_grid = ((m.n_users, m.n_items, m.max_rating) for m in (self, test))
         if grid != test_grid:
             raise ValueError(f"{name} grid {grid} differs from the test set's {test_grid}")
@@ -204,10 +206,10 @@ class FactorModel:
         U, V = self.user_factors, self.item_factors
         return np.einsum("ij,ij->i", np.take(U, users, axis=0), np.take(V, items, axis=0))
 
-    def score_blocks(self, block: int = 256):
-        """Yield (rows, U[rows] @ V.T) for consecutive slices of users."""
-        for start in range(0, self.n_users, block):
-            rows = slice(start, start + block)
+    def score_blocks(self):
+        """Yield (rows, U[rows] @ V.T) for consecutive slices of SCORE_BLOCK users."""
+        for start in range(0, self.n_users, SCORE_BLOCK):
+            rows = slice(start, start + SCORE_BLOCK)
             yield rows, self.user_factors[rows] @ self.item_factors.T
 
     def check_matches(self, y: SparseRatingMatrix):
@@ -307,9 +309,7 @@ def avg_threshold_gaps(model: FactorModel):
     well-formed.
     """
     if model.max_rating < 3:
-        raise UnsupportedScaleError(
-            "average threshold gap needs a rating scale of at least 3"
-        )
+        raise UnsupportedScaleError("average threshold gap needs a rating scale of at least 3")
     raw = np.diff(model.thresholds, axis=1).mean(axis=1)
     n_clamped = int(np.count_nonzero(raw < GAP_EPS))
     return np.maximum(raw, GAP_EPS), n_clamped

@@ -446,6 +446,16 @@ def test_loop_requires_disjoint_test():
         selftrain_loop(train_m, loop_config(), overlapping)
 
 
+def test_loop_requires_test_on_same_grid():
+    train_m, test_m = small_problem()
+    wider = SparseRatingMatrix(
+        test_m.n_users, test_m.n_items + 1, test_m.max_rating,
+        test_m.users, test_m.items, test_m.ratings,
+    )
+    with pytest.raises(ValueError, match="differs"):
+        selftrain_loop(train_m, loop_config(), wider)
+
+
 def test_loop_stops_when_no_candidates():
     # an extreme augment band leaves no confident cells on a tiny matrix
     y = SparseRatingMatrix.from_triples(3, 3, 5, [(i, j, 3) for i in range(3) for j in range(3) if i != j])
