@@ -18,9 +18,7 @@ from .trainer import (
     compute_gradients,
     gd_step,
     load_checkpoint,
-    loss_and_grad,
     objective,
-    predict_all,
     predict_ratings,
     save_checkpoint,
     train,

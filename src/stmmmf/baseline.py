@@ -27,7 +27,8 @@ class BaselineConfig:
 
     def __post_init__(self):
         # epochs = 0 (a global-mean model) and n_factors = 0 stay valid.
-        for name, low in (("n_factors", 0), ("epochs", 0), ("reg", 0), ("batch_size", 1)):
+        for name, low in (("n_factors", 0), ("epochs", 0), ("reg", 0), ("seed", 0),
+                          ("batch_size", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         if self.lr <= 0:

@@ -180,7 +180,7 @@ def cmd_gridsearch(args, parser) -> int:
     if args.runs < 1:
         parser.error("runs must be >= 1")
     lambdas = _parse_grid(args.lambda_grid, DEFAULT_LAMBDA_GRID, parser)
-    tau1s = _parse_grid(args.tau1_grid, DEFAULT_TAU1_GRID, parser)
+    tau1s = _parse_grid(args.tau1_grid, [t for t in DEFAULT_TAU1_GRID if t > args.tau2], parser)
     ss = _parse_grid(args.s_grid, DEFAULT_S_GRID, parser)
     cells = [(lam, tau1, s) for lam in lambdas for tau1 in tau1s for s in ss]
     if not cells:

@@ -33,6 +33,13 @@ class SparseRatingMatrix:
     "unobserved" (0 is never stored).  Entries are kept sorted by
     (user, item) and the arrays are frozen after validation, so instances
     are safe to share across threads.
+
+    Input already in strictly increasing (user, item) order is not
+    re-sorted, and each of its arrays that is int64, C-contiguous and owns
+    its memory is taken over rather than copied: it becomes the matrix's
+    array and is made read-only in place.  Pass a copy if you will keep
+    writing to your arrays.  Views, other dtypes and unsorted input are
+    copied.
     """
 
     n_users: int
@@ -60,10 +67,17 @@ class SparseRatingMatrix:
             if ratings.min() < 1 or ratings.max() > self.max_rating:
                 raise ValueError("rating outside 1..max_rating")
         keys = users * self.n_items + items
-        order = np.argsort(keys, kind="stable")
-        if np.any(np.diff(keys[order]) == 0):
-            raise ValueError("duplicate (user, item) pair")
-        users, items, ratings = users[order], items[order], ratings[order]
+        if (keys[1:] > keys[:-1]).all():
+            # Sorted and unique already: take over what no view shares.
+            users, items, ratings = (
+                a if a.base is None and a.flags.c_contiguous else a.copy()
+                for a in (users, items, ratings)
+            )
+        else:
+            order = np.argsort(keys, kind="stable")
+            if np.any(np.diff(keys[order]) == 0):
+                raise ValueError("duplicate (user, item) pair")
+            users, items, ratings = users[order], items[order], ratings[order]
         for arr in (users, items, ratings):
             arr.flags.writeable = False
         object.__setattr__(self, "users", users)
@@ -240,6 +254,8 @@ class Hyperparams:
             raise ValueError("max_iters must be >= 0")
         if self.tol < 0:
             raise ValueError("tol must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def smooth_hinge(z):

@@ -66,7 +66,7 @@ class SelfTrainConfig:
             raise ValueError("max_rounds must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        # Reuses the inner-solver validation for reg/lr/gd_iters/tol.
+        # Reuses the inner-solver validation for reg/lr/gd_iters/tol/seed.
         self.hyperparams()
 
     def hyperparams(self) -> Hyperparams:
@@ -149,6 +149,7 @@ def high_confidence_candidates(
         bu, bi = np.nonzero(level)
         found.append((bu + rows.start, bi, level[bu, bi]))
     users, items, ratings = map(np.concatenate, zip(*found))
+    del found  # the per-block columns; the matrix takes over the concatenation
     return SparseRatingMatrix(y.n_users, y.n_items, y.max_rating, users, items, ratings)
 
 

@@ -138,12 +138,6 @@ class HingeLoss:
         return value, (reg * U - w @ V, reg * V - w_t @ U, g_theta)
 
 
-def loss_and_grad(model: FactorModel, y: SparseRatingMatrix, reg: float):
-    """Regularized all-threshold hinge objective and its exact gradients,
-    (value, (g_user, g_item, g_theta)); see HingeLoss."""
-    return HingeLoss(y, reg)(model)
-
-
 def objective(model: FactorModel, y: SparseRatingMatrix, reg: float) -> float:
     """Regularized all-threshold hinge objective (see HingeLoss)."""
     return HingeLoss(y, reg).value(model)
@@ -240,19 +234,13 @@ def train(y: SparseRatingMatrix, params: Hyperparams, n_factors: int):
     return model, trace
 
 
-def predict_all(model: FactorModel) -> np.ndarray:
-    """Dense rating predictions for every cell (discretized scores)."""
-    out = np.empty((model.n_users, model.n_items), dtype=np.int64)
-    for rows, scores in model.score_blocks():
-        out[rows] = discretize_rows(model.thresholds[rows], scores)
-    return out
-
-
 def complete_matrix(model: FactorModel, y: SparseRatingMatrix) -> np.ndarray:
     """Dense completion: observed cells keep their rating, the rest are
     filled with discretized scores."""
     model.check_matches(y)
-    out = predict_all(model)
+    out = np.empty((model.n_users, model.n_items), dtype=np.int64)
+    for rows, scores in model.score_blocks():
+        out[rows] = discretize_rows(model.thresholds[rows], scores)
     out[y.users, y.items] = y.ratings
     return out
 

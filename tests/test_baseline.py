@@ -186,6 +186,7 @@ def test_empty_training_rejected():
 
 @pytest.mark.parametrize("field, value", [
     ("epochs", -3), ("lr", 0.0), ("reg", -1.0), ("n_factors", -1), ("batch_size", 0),
+    ("seed", -1),
 ])
 def test_config_rejects_untrainable(field, value):
     with pytest.raises(ValueError, match=field):

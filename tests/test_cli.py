@@ -289,6 +289,15 @@ def grid_args(train_path, out, *extra):
             "--gd-iters", "40", "--iters", "1", "--cap", "20", "--out", out, *extra]
 
 
+def test_gridsearch_default_tau1_grid_lies_above_tau2(toy_files):
+    tmp_path, train_path, _ = toy_files
+    out = tmp_path / "grid.csv"
+    assert run(grid_args(train_path, out, "--tau2", "40",
+                         "--lambda-grid", "0.2", "--s-grid", "100")) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["45", "49.99"]
+
+
 @pytest.mark.parametrize("grid", [
     ["--lambda-grid", ""],            # no cells
     ["--lambda-grid", "0.2,x"],       # not a number
@@ -313,8 +322,12 @@ def test_gridsearch_bad_grid_is_usage_error(toy_files, grid):
     ["baseline-rounds", "{train}", "--test", "{train}", "--lr", "0"],
     ["baseline-rounds", "{train}", "--test", "{train}", "--reg", "-1"],
     ["baseline-rounds", "{train}", "--test", "{train}", "--dim", "-1"],
+    ["selftrain", "{train}", "--seed", "-1"],
+    ["gridsearch", "{train}", "--tau1-grid", "30", "--seed", "-1"],
+    ["baseline-rounds", "{train}", "--test", "{train}", "--seed", "-1"],
 ], ids=["selftrain-dim", "split-frac", "gridsearch-runs", "gridsearch-grid",
-        "baseline-epochs", "baseline-lr", "baseline-reg", "baseline-dim"])
+        "baseline-epochs", "baseline-lr", "baseline-reg", "baseline-dim",
+        "selftrain-seed", "gridsearch-seed", "baseline-seed"])
 def test_handler_usage_error_prints_command_usage(toy_files, capsys, argv):
     _, train_path, _ = toy_files
     with pytest.raises(SystemExit) as exc:  # raised before any output is written

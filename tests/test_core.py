@@ -213,6 +213,37 @@ def test_matrix_sorted_and_immutable():
         np.testing.assert_array_equal(got, want[order])
 
 
+def sorted_cells(n_users=6, n_items=5):
+    """Fresh, owned int64 columns of every other cell in (user, item) order."""
+    cells = np.arange(0, n_users * n_items, 2)
+    return cells // n_items, cells % n_items, cells % 5 + 1
+
+
+def test_matrix_takes_over_sorted_owned_arrays():
+    u, i, r = sorted_cells()
+    y = SparseRatingMatrix(6, 5, 5, u, i, r)
+    for got, given in ((y.users, u), (y.items, i), (y.ratings, r)):
+        assert np.shares_memory(got, given)
+        assert not given.flags.writeable
+
+
+def test_matrix_copies_views_strided_columns_and_other_dtypes():
+    u, i, r = sorted_cells()
+    cases = {
+        "contiguous views": [np.append(a, 0)[:-1] for a in (u, i, r)],
+        "strided columns": list(np.column_stack([u, i, r]).T),
+        "int32": [a.astype(np.int32) for a in (u, i, r)],
+    }
+    for name, given in cases.items():
+        y = SparseRatingMatrix(6, 5, 5, *given)
+        for got, arr, want in zip((y.users, y.items, y.ratings), given, (u, i, r)):
+            np.testing.assert_array_equal(got, want)
+            assert not np.shares_memory(got, arr), name
+            assert arr.flags.writeable, name
+            assert arr.base is None or arr.base.flags.writeable, name
+            assert not got.flags.writeable, name
+
+
 def test_matrix_counts_and_mask():
     y = SparseRatingMatrix.from_triples(2, 3, 5, [(0, 0, 1), (0, 2, 5), (1, 1, 3)])
     assert y.n_observed == 3

@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stmmmf.core import FactorModel, SparseRatingMatrix, avg_threshold_gaps, discretize
+from stmmmf.core import (
+    FactorModel, Hyperparams, SparseRatingMatrix, avg_threshold_gaps, discretize,
+)
 from stmmmf import selftrain
 from stmmmf.evaluation import MetricsSnapshot, split
 from stmmmf.selftrain import (
@@ -66,6 +69,28 @@ def test_high_confidence_top_band_one_sided():
     found = {(u, i): r for u, i, r in zip(got.users, got.items, got.ratings)}
     assert (0, 0) not in found     # 4.2 <= 4 + 0.25
     assert found[(0, 1)] == 5      # 6.0 > 4.25, one-sided top band
+
+
+def test_high_confidence_peak_allocation_is_small_next_to_the_result():
+    """Building the candidate set allocates at most 2.75 times the result's
+    three int64 columns: the matrix takes the concatenated columns over
+    without sorting or copying them (a re-sort and copy of these 514,055
+    candidates reads about 4.1), and the per-block columns are released
+    before the matrix is built (holding them reads about 2.8)."""
+    rng = np.random.default_rng(0)
+    n_users, n_items = 2048, 256
+    model = FactorModel(rng.normal(size=(n_users, 3)), rng.normal(size=(n_items, 3)),
+                        np.tile([-1.5, -0.5, 0.5, 1.5], (n_users, 1)))
+    y = SparseRatingMatrix(n_users, n_items, 5, np.arange(n_users),
+                           np.zeros(n_users, dtype=np.int64), np.full(n_users, 3))
+    tracemalloc.start()
+    try:
+        got = high_confidence_candidates(model, y, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 514_055
+    assert peak <= 2.75 * (3 * 8 * len(got))
 
 
 def test_high_confidence_tau_validated():
@@ -368,6 +393,9 @@ def test_config_validation():
         SelfTrainConfig(cap=0)
     with pytest.raises(ValueError):
         SelfTrainConfig(max_rounds=0)
+    for make in (SelfTrainConfig, Hyperparams):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            make(seed=-1)
 
 
 # --------------------------------------------------------------------- loop

@@ -21,9 +21,7 @@ from stmmmf.trainer import (
     gd_step,
     initial_model,
     load_checkpoint,
-    loss_and_grad,
     objective,
-    predict_all,
     predict_ratings,
     save_checkpoint,
     train,
@@ -214,7 +212,7 @@ def test_loss_and_grad_matches_per_threshold_loop():
     for _ in range(25):
         model, y = random_instance(rng)
         reg = float(rng.uniform(0, 2))
-        value, grads = loss_and_grad(model, y, reg)
+        value, grads = HingeLoss(y, reg)(model)
         ref_value, ref_grads = loop_loss_and_grad(model, y, reg)
         assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
         for g, ref in zip(grads, ref_grads):
@@ -402,7 +400,6 @@ def test_complete_matrix_zero_model():
     unobserved = done.copy()
     unobserved[0, 0] = 2
     assert np.all(unobserved == 2)
-    assert np.all(predict_all(model) == 2)
 
 
 def test_predict_ratings_cold_user_fallback():
