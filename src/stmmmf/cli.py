@@ -77,6 +77,8 @@ def _selftrain_config(args, parser, **fields) -> SelfTrainConfig:
 
 
 def cmd_selftrain(args, parser) -> int:
+    if args.snapshot_every < 0:
+        parser.error("--snapshot-every must be >= 0")
     cfg = _selftrain_config(
         args, parser, reg=args.reg, tau_augment=args.tau1 / 100.0,
         sample_pct=args.sample_pct, patience=args.patience,
@@ -179,6 +181,8 @@ def cmd_gridsearch(args, parser) -> int:
         parser.error("val-frac must lie in (0, 1)")
     if args.runs < 1:
         parser.error("runs must be >= 1")
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
     lambdas = _parse_grid(args.lambda_grid, DEFAULT_LAMBDA_GRID, parser)
     tau1s = _parse_grid(args.tau1_grid, [t for t in DEFAULT_TAU1_GRID if t > args.tau2], parser)
     ss = _parse_grid(args.s_grid, DEFAULT_S_GRID, parser)

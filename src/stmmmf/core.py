@@ -125,8 +125,9 @@ class SparseRatingMatrix:
         return mask
 
     def to_dense(self) -> np.ndarray:
-        """Dense integer matrix with 0 for unobserved cells."""
-        dense = np.zeros((self.n_users, self.n_items), dtype=np.int64)
+        """Dense (n_users, n_items) ratings with 0 for unobserved cells, in the
+        narrowest unsigned dtype that holds max_rating (uint8 up to 255)."""
+        dense = np.zeros((self.n_users, self.n_items), dtype=np.min_scalar_type(self.max_rating))
         dense[self.users, self.items] = self.ratings
         return dense
 

@@ -142,15 +142,23 @@ def high_confidence_candidates(
     gaps, _ = avg_threshold_gaps(model)
     margin = gaps * tau_augment
     observed = y.observed_mask()
-    found = []
+    level_dtype = np.min_scalar_type(y.max_rating)
+    keys, levels = [], []
     for rows, scores in model.score_blocks():
         level = discretize_rows(model.thresholds[rows], scores, margin[rows])
         level[observed[rows]] = 0
-        bu, bi = np.nonzero(level)
-        found.append((bu + rows.start, bi, level[bu, bi]))
-    users, items, ratings = map(np.concatenate, zip(*found))
-    del found  # the per-block columns; the matrix takes over the concatenation
-    return SparseRatingMatrix(y.n_users, y.n_items, y.max_rating, users, items, ratings)
+        flat = np.flatnonzero(level)
+        keys.append(flat + rows.start * y.n_items)
+        levels.append(level.ravel()[flat].astype(level_dtype))
+    # Flat keys in row-major block order are sorted and unique: 8 bytes per
+    # candidate plus a 1-byte level until the split into owned int64 columns,
+    # which the matrix takes over.  The mask and the last block's arrays go
+    # first, so they do not add to the matrix's own peak (its key check).
+    del observed, scores, level, flat
+    keys, levels = np.concatenate(keys), np.concatenate(levels)
+    users, items = np.divmod(keys, y.n_items)
+    del keys
+    return SparseRatingMatrix(y.n_users, y.n_items, y.max_rating, users, items, levels)
 
 
 def low_confidence_observed(
@@ -285,20 +293,26 @@ def apply_refine(y: SparseRatingMatrix, removals) -> SparseRatingMatrix:
     return y.select(~np.isin(y.observed_keys(), rem_keys))
 
 
-def overlap_stats(prev: SparseRatingMatrix, cur: SparseRatingMatrix):
+def overlap_stats(prev_levels: np.ndarray, cur: SparseRatingMatrix):
     """Exact-triple overlap with the previous candidate set.
 
-    Returns (overlap count, fraction of the previous set retained); the
-    fraction is 0 when the previous set is empty.
+    prev_levels is the previous set as a dense grid on cur's users and
+    items (SparseRatingMatrix.to_dense(): the candidate's rating per cell,
+    0 elsewhere), so a triple (u, i, r) of cur is retained when
+    prev_levels[u, i] == r.  Returns (overlap count, fraction of the
+    previous set retained); the fraction is 0 when the previous set is
+    empty.  Raises ValueError when the grid's shape is not cur's.
     """
-    if len(prev) == 0:
+    if prev_levels.shape != (cur.n_users, cur.n_items):
+        raise ValueError(
+            f"previous candidate grid {prev_levels.shape} differs from "
+            f"the current set's {(cur.n_users, cur.n_items)}"
+        )
+    n_prev = int(np.count_nonzero(prev_levels))
+    if n_prev == 0:
         return 0, 0.0
-    # One int64 key per (user, item, rating) triple; matrices reject
-    # duplicate cells, so both key arrays are unique.
-    prev_keys = prev.observed_keys() * (prev.max_rating + 1) + prev.ratings
-    cur_keys = cur.observed_keys() * (cur.max_rating + 1) + cur.ratings
-    overlap = int(np.intersect1d(prev_keys, cur_keys, assume_unique=True).size)
-    return overlap, overlap / len(prev)
+    overlap = int(np.count_nonzero(prev_levels[cur.users, cur.items] == cur.ratings))
+    return overlap, overlap / n_prev
 
 
 def selftrain_loop(
@@ -325,7 +339,7 @@ def selftrain_loop(
     y = y0
     reports: list[IterationReport] = []
     model = None
-    prev_cands = None
+    prev_levels = None  # the previous round's candidates as a dense grid
     prev_mae = None
     worse_streak = 0
     stop_reason = "max_rounds"
@@ -346,8 +360,8 @@ def selftrain_loop(
         y_next = apply_refine(y, removals)
         y_next = apply_augment(y_next, selected)
         overlap = retained = None
-        if prev_cands is not None:
-            overlap, retained = overlap_stats(prev_cands, cands)
+        if prev_levels is not None:
+            overlap, retained = overlap_stats(prev_levels, cands)
         test_mae = test_rmse = None
         if test is not None and test.n_observed:
             preds = predict_ratings(model, test.users, test.items, trained_on=y)
@@ -374,9 +388,12 @@ def selftrain_loop(
         reports.append(report)
         if callback is not None:
             callback(report, model, y, y_next)
-        prev_cands = cands
+        # Keep this round's candidates as a 1-byte grid and release the
+        # matrix before the next solve.
+        prev_levels = cands.to_dense()
+        del cands
         y = y_next
-        if len(cands) == 0:
+        if report.candidates == 0:
             stop_reason = "no_candidates"
             break
         if test_mae is not None:

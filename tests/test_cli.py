@@ -195,6 +195,18 @@ def test_selftrain_snapshots(toy_files):
     assert load_matrix(snaps[0]).content_hash() == load_matrix(train_path).content_hash()
 
 
+def test_selftrain_negative_snapshot_every_is_usage_error(toy_files, capsys):
+    tmp_path, train_path, test_path = toy_files
+    args = selftrain_args(tmp_path, train_path, test_path) + ["--snapshot-every", "-1"]
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: stmmmf selftrain ")
+    assert "stmmmf selftrain: error: --snapshot-every must be >= 0" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_selftrain_malformed_matrix_is_an_error_line(toy_files, capsys):
     tmp_path, train_path, test_path = toy_files
     bad = tmp_path / "bad.stmat"
@@ -346,6 +358,20 @@ def test_gridsearch_workers_match_serial(toy_files):
     assert run(grid_args(train_path, pooled, *grid, "--workers", "2")) == 0
     assert len(serial.read_text().splitlines()) == 3
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_gridsearch_nonpositive_workers_is_usage_error(toy_files, capsys, workers):
+    tmp_path, train_path, _ = toy_files
+    out = tmp_path / "grid.csv"
+    grid = ["--lambda-grid", "0.2", "--tau1-grid", "30", "--s-grid", "100"]
+    with pytest.raises(SystemExit) as exc:
+        run(grid_args(train_path, out, *grid, "--workers", workers))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: stmmmf gridsearch ")
+    assert "stmmmf gridsearch: error: --workers must be >= 1" in err
+    assert not out.exists()
 
 
 @pytest.fixture()

@@ -213,6 +213,15 @@ def test_matrix_sorted_and_immutable():
         np.testing.assert_array_equal(got, want[order])
 
 
+def test_to_dense_is_the_narrowest_unsigned_grid():
+    y = SparseRatingMatrix.from_triples(2, 3, 5, [(0, 2, 5), (1, 0, 1)])
+    dense = y.to_dense()
+    assert dense.dtype == np.uint8
+    np.testing.assert_array_equal(dense, [[0, 0, 5], [1, 0, 0]])
+    wide = SparseRatingMatrix.from_triples(1, 2, 300, [(0, 1, 300)]).to_dense()
+    assert wide.dtype == np.uint16 and wide.tolist() == [[0, 300]]
+
+
 def sorted_cells(n_users=6, n_items=5):
     """Fresh, owned int64 columns of every other cell in (user, item) order."""
     cells = np.arange(0, n_users * n_items, 2)

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -72,11 +73,13 @@ def test_high_confidence_top_band_one_sided():
 
 
 def test_high_confidence_peak_allocation_is_small_next_to_the_result():
-    """Building the candidate set allocates at most 2.75 times the result's
-    three int64 columns: the matrix takes the concatenated columns over
-    without sorting or copying them (a re-sort and copy of these 514,055
-    candidates reads about 4.1), and the per-block columns are released
-    before the matrix is built (holding them reads about 2.8)."""
+    """Building the candidate set allocates at most 1.75 times the result's
+    three int64 columns (about 1.42 here): each block keeps its flat cell
+    indices and 1-byte levels, the concatenated indices are split by divmod
+    into owned columns, and the matrix takes them over without sorting or
+    copying them.  Keeping each block's (user, item, level) int64 columns
+    reads about 2.5 on these 514,055 candidates, and a re-sort and copy of
+    them about 4.1."""
     rng = np.random.default_rng(0)
     n_users, n_items = 2048, 256
     model = FactorModel(rng.normal(size=(n_users, 3)), rng.normal(size=(n_items, 3)),
@@ -90,7 +93,7 @@ def test_high_confidence_peak_allocation_is_small_next_to_the_result():
     finally:
         tracemalloc.stop()
     assert len(got) == 514_055
-    assert peak <= 2.75 * (3 * 8 * len(got))
+    assert peak <= 1.75 * (3 * 8 * len(got))
 
 
 def test_high_confidence_tau_validated():
@@ -363,14 +366,21 @@ def test_overlap_stats_cases():
     a, b, c, d = (0, 0, 1), (0, 1, 2), (0, 2, 3), (0, 3, 4)
     prev = cands([a, b, c])
     cur = cands([b, c, d])
-    assert overlap_stats(prev, cur) == (2, pytest.approx(2 / 3))
-    assert overlap_stats(cands([]), cur) == (0, 0.0)
+    assert overlap_stats(prev.to_dense(), cur) == (2, pytest.approx(2 / 3))
+    assert overlap_stats(cands([]).to_dense(), cur) == (0, 0.0)
 
 
 def test_overlap_requires_exact_triple():
     prev = cands([(0, 0, 1)])
     cur = cands([(0, 0, 2)])  # same cell, different rating
-    assert overlap_stats(prev, cur) == (0, 0.0)
+    assert overlap_stats(prev.to_dense(), cur) == (0, 0.0)
+
+
+def test_overlap_rejects_grid_of_another_shape():
+    cur = cands([(0, 0, 1)])  # 10 x 10
+    for shape in ((10, 11), (11, 10), (100,)):
+        with pytest.raises(ValueError, match="differs"):
+            overlap_stats(np.ones(shape, dtype=np.uint8), cur)
 
 
 def test_overlap_published_ratio():
@@ -445,6 +455,47 @@ def test_loop_first_report_counts():
     assert report.iteration == 1
     assert report.observed == train_m.n_observed
     assert report.overlap is None and report.retained_frac is None
+
+
+def test_loop_releases_each_rounds_candidates_before_the_next_solve(monkeypatch):
+    """Only a dense grid of the previous round's candidates crosses a round:
+    no earlier round's candidate matrix is alive when the next solve starts."""
+    train_m, test_m = small_problem()
+    refs, alive = [], []
+    build, solve = selftrain.high_confidence_candidates, selftrain.train
+
+    def recording_build(*args):
+        result = build(*args)
+        refs.append(weakref.ref(result))
+        return result
+
+    def checking_solve(*args):
+        alive.append(any(ref() is not None for ref in refs))
+        return solve(*args)
+
+    monkeypatch.setattr(selftrain, "high_confidence_candidates", recording_build)
+    monkeypatch.setattr(selftrain, "train", checking_solve)
+    result = selftrain_loop(train_m, loop_config(max_rounds=3), test_m)
+    assert len(result.reports) == 3
+    assert alive == [False, False, False]
+
+
+def test_loop_overlap_is_the_exact_triple_intersection(monkeypatch):
+    train_m, test_m = small_problem()
+    rounds, build = [], selftrain.high_confidence_candidates
+
+    def recording_build(*args):
+        rounds.append(build(*args))
+        return rounds[-1]
+
+    monkeypatch.setattr(selftrain, "high_confidence_candidates", recording_build)
+    result = selftrain_loop(train_m, loop_config(), test_m)
+    assert len(result.reports) == len(rounds) >= 3
+    for prev, cur, report in zip(rounds, rounds[1:], result.reports[1:]):
+        triples = [m.observed_keys() * (m.max_rating + 1) + m.ratings for m in (prev, cur)]
+        overlap = np.intersect1d(*triples, assume_unique=True).size
+        assert (report.overlap, report.retained_frac) == (overlap, overlap / len(prev))
+    assert all(r.overlap > 0 for r in result.reports[1:])
 
 
 def test_loop_augmented_triples_rediscretize_to_their_rating():
