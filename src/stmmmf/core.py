@@ -21,6 +21,21 @@ GAP_EPS = 1e-6
 SCORE_BLOCK = 256
 
 
+# Entries per block of SparseRatingMatrix's order check.
+ORDER_CHECK_BLOCK = 65536
+
+
+def _strictly_increasing(users: np.ndarray, items: np.ndarray, n_items: int) -> bool:
+    """Whether keys users * n_items + items strictly increase, checked in
+    blocks that overlap by one entry so no key array spans the input."""
+    for start in range(0, users.size - 1, ORDER_CHECK_BLOCK):
+        stop = start + ORDER_CHECK_BLOCK + 1
+        keys = users[start:stop] * n_items + items[start:stop]
+        if not (keys[1:] > keys[:-1]).all():
+            return False
+    return True
+
+
 class UnsupportedScaleError(ValueError):
     """Raised when an operation needs a wider rating scale than provided."""
 
@@ -66,14 +81,14 @@ class SparseRatingMatrix:
                 raise ValueError("item index out of range")
             if ratings.min() < 1 or ratings.max() > self.max_rating:
                 raise ValueError("rating outside 1..max_rating")
-        keys = users * self.n_items + items
-        if (keys[1:] > keys[:-1]).all():
+        if _strictly_increasing(users, items, self.n_items):
             # Sorted and unique already: take over what no view shares.
             users, items, ratings = (
                 a if a.base is None and a.flags.c_contiguous else a.copy()
                 for a in (users, items, ratings)
             )
         else:
+            keys = users * self.n_items + items
             order = np.argsort(keys, kind="stable")
             if np.any(np.diff(keys[order]) == 0):
                 raise ValueError("duplicate (user, item) pair")

@@ -158,11 +158,12 @@ def parse_ml1m(source) -> RawRatings:
 def preprocess(raw: RawRatings, min_ratings: int = 20, max_rating: int = 5) -> PreprocessResult:
     """Filter sparse users and compact ids to dense 0-based indices.
 
-    Duplicate (user, item) pairs keep the entry with the latest timestamp
-    (file order breaks ties) and are counted.  Users with fewer than
-    min_ratings ratings are dropped; items left without any rating vanish
-    during compaction.  Surviving external ids map to indices in
-    ascending order.
+    User and item ids must be non-negative integers; a negative id raises
+    ValueError naming the first one.  Duplicate (user, item) pairs keep
+    the entry with the latest timestamp (file order breaks ties) and are
+    counted.  Users with fewer than min_ratings ratings are dropped; items
+    left without any rating vanish during compaction.  Surviving external
+    ids map to indices in ascending order.
     """
     if min_ratings < 0:
         raise ValueError("min_ratings must be >= 0")
@@ -171,22 +172,44 @@ def preprocess(raw: RawRatings, min_ratings: int = 20, max_rating: int = 5) -> P
             SparseRatingMatrix.from_triples(1, 1, max_rating, []),
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0,
         )
-    key = raw.user_ids * (raw.item_ids.max() + 1) + raw.item_ids
-    # Two stable passes order entries by key, then timestamp, then file order.
-    order = np.argsort(raw.timestamps, kind="stable")
-    order = order[np.argsort(key[order], kind="stable")]
+    negative = (raw.user_ids < 0) | (raw.item_ids < 0)
+    if negative.any():
+        k = negative.argmax()
+        kind, value = ("user", raw.user_ids[k]) if raw.user_ids[k] < 0 else ("item", raw.item_ids[k])
+        raise ValueError(f"negative {kind} id {value}: ids must be non-negative integers")
+    max_item = int(raw.item_ids.max())
+    if int(raw.user_ids.max()) * (max_item + 1) + max_item > np.iinfo(np.int64).max:
+        # The key would overflow: key on the ids' ranks, which keep their order.
+        user_ids, users = np.unique(raw.user_ids, return_inverse=True)
+        item_ids, items = np.unique(raw.item_ids, return_inverse=True)
+        ranked = preprocess(RawRatings(users, items, raw.ratings, raw.timestamps, raw.source),
+                            min_ratings, max_rating)
+        return PreprocessResult(ranked.matrix, user_ids[ranked.user_ids],
+                                item_ids[ranked.item_ids], ranked.n_duplicates)
+    # With non-negative ids that fit the key, key order is (user, item) order.
+    key = raw.user_ids * (max_item + 1) + raw.item_ids
+    order = np.argsort(key, kind="stable")
     key_sorted = key[order]
     last = np.r_[key_sorted[1:] != key_sorted[:-1], True]
+    if not last.all():
+        # A duplicate key: two stable passes order entries by key, then
+        # timestamp, then file order, so each key's last entry is the one
+        # to keep.  The keys stay in the same sorted sequence, so `last`
+        # still marks each key's last entry.
+        order = np.argsort(raw.timestamps, kind="stable")
+        order = order[np.argsort(key[order], kind="stable")]
     keep = order[last]
     n_duplicates = len(raw) - keep.size
 
+    # The kept entries are in key order, so each user's entries form one
+    # run: filter and compact users on the run boundaries.
     users, items, ratings = raw.user_ids[keep], raw.item_ids[keep], raw.ratings[keep]
-    ext_users, counts = np.unique(users, return_counts=True)
-    surviving = ext_users[counts >= min_ratings]
-    mask = np.isin(users, surviving)
-    users, items, ratings = users[mask], items[mask], ratings[mask]
+    run_start = np.r_[True, users[1:] != users[:-1]]
+    counts = np.diff(np.r_[np.flatnonzero(run_start), users.size])
+    mask = np.repeat(counts >= min_ratings, counts)
+    users, items, ratings, run_start = users[mask], items[mask], ratings[mask], run_start[mask]
 
-    user_ids, u_idx = np.unique(users, return_inverse=True)
+    user_ids, u_idx = users[run_start], np.cumsum(run_start) - 1
     item_ids, i_idx = np.unique(items, return_inverse=True)
     matrix = SparseRatingMatrix(
         max(user_ids.size, 1), max(item_ids.size, 1), max_rating,

@@ -152,8 +152,8 @@ def high_confidence_candidates(
         levels.append(level.ravel()[flat].astype(level_dtype))
     # Flat keys in row-major block order are sorted and unique: 8 bytes per
     # candidate plus a 1-byte level until the split into owned int64 columns,
-    # which the matrix takes over.  The mask and the last block's arrays go
-    # first, so they do not add to the matrix's own peak (its key check).
+    # which the matrix takes over after a blockwise order check.  The mask
+    # and the last block's arrays go first, so they do not add to the peak.
     del observed, scores, level, flat
     keys, levels = np.concatenate(keys), np.concatenate(levels)
     users, items = np.divmod(keys, y.n_items)

@@ -116,20 +116,19 @@ def synthetic_ratings_file(
     activity = rng.lognormal(0.0, 1.0, size=n_users)
     counts = _spread_counts(activity, n_ratings, min_per_user, n_items)
 
-    # one guaranteed rating per item, round-robin over users
-    seed_users = np.arange(n_items) % n_users
-    seeded_by_user = [[] for _ in range(n_users)]
-    for j, i in enumerate(seed_users):
-        seeded_by_user[i].append(j)
+    # one guaranteed rating per item, round-robin over users: user i gets
+    # items i, i + n_users, ...; the grid marks those seeded cells
+    seeded = np.zeros((n_users, n_items), dtype=bool)
+    seeded[np.arange(n_items) % n_users, np.arange(n_items)] = True
 
     users = np.empty(n_ratings, dtype=np.int64)
     items = np.empty(n_ratings, dtype=np.int64)
     pos = 0
     for i in range(n_users):
-        already = np.array(seeded_by_user[i], dtype=np.int64)
+        already = np.arange(i, n_items, n_users)
         need = counts[i] - already.size
         perm = rng.permutation(n_items)
-        extra = perm[~np.isin(perm, already)][:need]
+        extra = perm[~seeded[i, perm]][:need]
         mine = np.concatenate([already, extra])
         users[pos : pos + mine.size] = i
         items[pos : pos + mine.size] = mine

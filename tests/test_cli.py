@@ -52,6 +52,18 @@ def test_ingest_min_ratings_filter(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "1 2 5 2"
 
 
+def test_ingest_negative_id_is_an_error_line(tmp_path, capsys):
+    lines = ["1\t2\t3\t100", "-1\t4\t5\t100", "0\t-1\t4\t100"]
+    src = tmp_path / "u.data"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "y.stmat"
+    assert run(["ingest", src, "--out", out, "--min-ratings", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: negative user id -1: ids must be non-negative integers"]
+    assert not out.exists()
+
+
 def test_ingest_missing_file(tmp_path, capsys):
     code = run(["ingest", tmp_path / "nope.data", "--out", tmp_path / "y.stmat"])
     assert code != 0

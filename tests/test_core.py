@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from stmmmf import core
 from stmmmf.core import (
     GAP_EPS,
     FactorModel,
@@ -234,6 +237,40 @@ def test_matrix_takes_over_sorted_owned_arrays():
     for got, given in ((y.users, u), (y.items, i), (y.ratings, r)):
         assert np.shares_memory(got, given)
         assert not given.flags.writeable
+
+
+@pytest.mark.parametrize("swap", [2, 3, 4, 5, 7])
+def test_matrix_order_check_sees_across_block_edges(monkeypatch, swap):
+    """With 3-entry blocks, an inversion or a duplicate at any position,
+    including the entry two blocks share, is sorted or rejected."""
+    monkeypatch.setattr(core, "ORDER_CHECK_BLOCK", 3)
+    u, i, r = sorted_cells()
+    shuffled = [a.copy() for a in (u, i, r)]
+    for a in shuffled:
+        a[[swap, swap + 1]] = a[[swap + 1, swap]]
+    y = SparseRatingMatrix(6, 5, 5, *shuffled)
+    for got, want, given in zip((y.users, y.items, y.ratings), (u, i, r), shuffled):
+        np.testing.assert_array_equal(got, want)
+        assert not np.shares_memory(got, given)
+    doubled = [a.copy() for a in (u, i, r)]
+    for a in doubled:
+        a[swap + 1] = a[swap]
+    with pytest.raises(ValueError, match="duplicate"):
+        SparseRatingMatrix(6, 5, 5, *doubled)
+
+
+def test_matrix_order_check_holds_no_key_array(monkeypatch):
+    """Sorted input is checked without a key array the size of the input."""
+    n = 8 * core.ORDER_CHECK_BLOCK
+    cells = np.arange(n, dtype=np.int64)
+    u, i, r = cells // 1024, cells % 1024, np.ones(n, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        SparseRatingMatrix(n // 1024, 1024, 5, u, i, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 9 * core.ORDER_CHECK_BLOCK < 9 * n
 
 
 def test_matrix_copies_views_strided_columns_and_other_dtypes():

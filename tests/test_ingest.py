@@ -133,6 +133,29 @@ def test_preprocess_duplicates_keep_latest_timestamp():
     assert dense[0, 0] == 5
 
 
+def test_preprocess_negative_ids_would_collide_and_are_rejected():
+    # user * (max_item + 1) + item gives (0, -1) and (-1, 4) the same key -1
+    rows = [(1, 2, 3, 100), (-1, 4, 5, 100), (0, -1, 4, 100)]
+    with pytest.raises(ValueError, match=r"negative user id -1"):
+        preprocess(raw(rows), min_ratings=0)
+    with pytest.raises(ValueError, match=r"negative item id -7"):
+        preprocess(raw([(1, 2, 3, 0), (3, -7, 1, 0), (-2, 1, 1, 0)]), min_ratings=0)
+
+
+def test_preprocess_ids_whose_key_overflows_keep_their_order():
+    # 2**31 * (2**32 + 1) does not fit in int64: the result is the one the
+    # same ids give at small values, duplicates included
+    big_users, big_items = [3, 2**31 - 1, 2**31], [0, 5, 2**32]
+    rows = [(0, 1, 3, 0), (1, 2, 4, 0), (2, 0, 1, 5), (2, 0, 2, 9), (0, 1, 5, 0)]
+    small = preprocess(raw(rows), min_ratings=0)
+    big = preprocess(raw([(big_users[u], big_items[i], r, t) for u, i, r, t in rows]),
+                     min_ratings=0)
+    assert big.matrix.content_hash() == small.matrix.content_hash()
+    assert list(big.user_ids) == [big_users[u] for u in small.user_ids] == big_users
+    assert list(big.item_ids) == [big_items[i] for i in small.item_ids] == big_items
+    assert big.n_duplicates == small.n_duplicates == 2
+
+
 def test_preprocess_drops_unrated_items():
     rows = [(1, 10, 3, 0), (2, 10, 4, 1)]
     result = preprocess(raw(rows), min_ratings=0)

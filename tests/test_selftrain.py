@@ -73,13 +73,14 @@ def test_high_confidence_top_band_one_sided():
 
 
 def test_high_confidence_peak_allocation_is_small_next_to_the_result():
-    """Building the candidate set allocates at most 1.75 times the result's
-    three int64 columns (about 1.42 here): each block keeps its flat cell
+    """Building the candidate set allocates at most 1.25 times the result's
+    three int64 columns (about 1.13 here): each block keeps its flat cell
     indices and 1-byte levels, the concatenated indices are split by divmod
-    into owned columns, and the matrix takes them over without sorting or
-    copying them.  Keeping each block's (user, item, level) int64 columns
-    reads about 2.5 on these 514,055 candidates, and a re-sort and copy of
-    them about 4.1."""
+    into owned columns, and the matrix checks their order blockwise and
+    takes them over without sorting or copying them.  A full key array for
+    the order check reads about 1.42 on these 514,055 candidates, keeping
+    each block's (user, item, level) int64 columns about 2.5, and a re-sort
+    and copy of them about 4.1."""
     rng = np.random.default_rng(0)
     n_users, n_items = 2048, 256
     model = FactorModel(rng.normal(size=(n_users, 3)), rng.normal(size=(n_items, 3)),
@@ -93,7 +94,7 @@ def test_high_confidence_peak_allocation_is_small_next_to_the_result():
     finally:
         tracemalloc.stop()
     assert len(got) == 514_055
-    assert peak <= 1.75 * (3 * 8 * len(got))
+    assert peak <= 1.25 * (3 * 8 * len(got))
 
 
 def test_high_confidence_tau_validated():
