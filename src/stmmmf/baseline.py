@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseRatingMatrix
+from .core import SparseRatingMatrix, row_dots
 from .evaluation import MetricsSnapshot, snapshot
 from .trainer import TrainingDivergedError
 
@@ -45,17 +45,8 @@ class BaselineModel:
     max_rating: int
 
 
-# Rows per block of the epoch loss: two (block, k) gathers instead of two
-# (n_observed, k) ones.  A row's dot product does not depend on its block.
-_LOSS_BLOCK = 4096
-
-
 def _loss(y, mu, bu, bi, p, q, reg):
-    dots = np.empty(y.n_observed)
-    for start in range(0, y.n_observed, _LOSS_BLOCK):
-        rows = slice(start, start + _LOSS_BLOCK)
-        np.einsum("ij,ij->i", p[y.users[rows]], q[y.items[rows]], out=dots[rows])
-    pred = mu + bu[y.users] + bi[y.items] + dots
+    pred = mu + bu[y.users] + bi[y.items] + row_dots(p, y.users, q, y.items)
     sse = np.sum((y.ratings - pred) ** 2)
     return sse + reg * (
         np.sum(bu**2) + np.sum(bi**2) + np.sum(p**2) + np.sum(q**2)
@@ -115,7 +106,7 @@ def predict_baseline_many(model: BaselineModel, users, items) -> np.ndarray:
         model.global_mean
         + model.user_bias[users]
         + model.item_bias[items]
-        + np.einsum("ij,ij->i", model.user_factors[users], model.item_factors[items])
+        + row_dots(model.user_factors, users, model.item_factors, items)
     )
     return np.clip(pred, 1.0, model.max_rating)
 

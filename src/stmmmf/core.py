@@ -20,6 +20,8 @@ GAP_EPS = 1e-6
 # Users per block of the dense score matmul in FactorModel.score_blocks.
 SCORE_BLOCK = 256
 
+# Rows per block of the gathers in row_dots.
+ROW_DOT_BLOCK = 4096
 
 # Entries per block of SparseRatingMatrix's order check.
 ORDER_CHECK_BLOCK = 65536
@@ -34,6 +36,23 @@ def _strictly_increasing(users: np.ndarray, items: np.ndarray, n_items: int) -> 
         if not (keys[1:] > keys[:-1]).all():
             return False
     return True
+
+
+def row_dots(a: np.ndarray, a_rows, b: np.ndarray, b_rows) -> np.ndarray:
+    """a[a_rows[j]] . b[b_rows[j]] for each j, as a float64 vector.
+
+    Rows are gathered ROW_DOT_BLOCK at a time, so no (n, k) copy of either
+    side is built.  A row's dot product does not depend on its block: the
+    result has the bits of one einsum over the full gathers.
+    """
+    a_rows = np.asarray(a_rows, dtype=np.int64)
+    b_rows = np.asarray(b_rows, dtype=np.int64)
+    out = np.empty(a_rows.size)
+    for start in range(0, a_rows.size, ROW_DOT_BLOCK):
+        rows = slice(start, start + ROW_DOT_BLOCK)
+        np.einsum("ij,ij->i", np.take(a, a_rows[rows], axis=0),
+                  np.take(b, b_rows[rows], axis=0), out=out[rows])
+    return out
 
 
 class UnsupportedScaleError(ValueError):
@@ -233,8 +252,7 @@ class FactorModel:
 
     def scores(self, users, items) -> np.ndarray:
         """Scores U[users] . V[items] of (user, item) index arrays."""
-        U, V = self.user_factors, self.item_factors
-        return np.einsum("ij,ij->i", np.take(U, users, axis=0), np.take(V, items, axis=0))
+        return row_dots(self.user_factors, users, self.item_factors, items)
 
     def score_blocks(self):
         """Yield (rows, U[rows] @ V.T) for consecutive slices of SCORE_BLOCK users."""

@@ -107,6 +107,7 @@ def synthetic_ratings_file(
     Every user gets at least min_per_user ratings, every item at least
     one, user activity is long-tailed, ratings come from a noisy planted
     rank-2 model with an upward skew, and external ids are 1-based.
+    Raises ValueError when the totals cannot be met.
     """
     rng = np.random.default_rng(seed)
     model = planted_model(
@@ -118,8 +119,17 @@ def synthetic_ratings_file(
 
     # one guaranteed rating per item, round-robin over users: user i gets
     # items i, i + n_users, ...; the grid marks those seeded cells
+    owner = np.arange(n_items) % n_users
     seeded = np.zeros((n_users, n_items), dtype=bool)
-    seeded[np.arange(n_items) % n_users, np.arange(n_items)] = True
+    seeded[owner, np.arange(n_items)] = True
+    n_seeded = np.bincount(owner, minlength=n_users)
+    short = np.flatnonzero(counts < n_seeded)
+    if short.size:
+        i = short[0]
+        raise ValueError(
+            f"cannot meet the totals: user {i} gets {counts[i]} ratings "
+            f"but is seeded {n_seeded[i]} items"
+        )
 
     users = np.empty(n_ratings, dtype=np.int64)
     items = np.empty(n_ratings, dtype=np.int64)
@@ -133,7 +143,8 @@ def synthetic_ratings_file(
         users[pos : pos + mine.size] = i
         items[pos : pos + mine.size] = mine
         pos += mine.size
-    assert pos == n_ratings
+    if pos != n_ratings:
+        raise ValueError(f"placed {pos} ratings, not the requested {n_ratings}")
 
     scores = model.scores(users, items) + rng.normal(0.0, 0.7, size=n_ratings)
     ratings = discretize_rows(model.thresholds[users], scores[:, None])[:, 0]

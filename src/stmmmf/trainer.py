@@ -11,7 +11,8 @@ regularizer.  It holds what the matrix fixes: the threshold-major
 (R-1, n_observed) sign matrix of every term, the per-user entry counts,
 one term buffer and, from the first gradient call on, the CSR matrices
 (user-by-entry, and user-by-item with its transpose).  Each call
-computes only what depends on the model: the entry scores, the
+computes only what depends on the model: the entry scores, gathered in
+row blocks so that no (n_observed, k) factor copy is built, the
 threshold rows spread over each user's entries, the hinge value
 0.5 * ||c - 1||^2 - sum(min(z, 0)) with c = clip(z, 0, 1), the
 coefficients of every term in place, the per-entry weights written into
@@ -31,6 +32,7 @@ from .core import (
     Hyperparams,
     SparseRatingMatrix,
     discretize_rows,
+    row_dots,
     t_indicator,
 )
 from .ingest import _format_rows, _read_table, open_text
@@ -99,9 +101,7 @@ class HingeLoss:
         argument z; d lives in a buffer the next call overwrites."""
         model.check_matches(self.y)
         U, V, y = model.user_factors, model.item_factors, self.y
-        # Gathering rows by per-user counts gives the np.take(·, y.users)
-        # values, because entries are sorted by user.
-        x = np.einsum("ij,ij->i", np.repeat(U, self._counts, axis=0), np.take(V, y.items, axis=0))
+        x = row_dots(U, y.users, V, y.items)
         z = np.repeat(model.thresholds.T, self._counts, axis=1)
         z -= x
         z *= self._t

@@ -1,8 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stmmmf.baseline import (
-    _LOSS_BLOCK,
     BaselineConfig,
     BaselineModel,
     _loss,
@@ -11,6 +12,7 @@ from stmmmf.baseline import (
     strip_overlap,
     train_baseline,
 )
+from stmmmf.core import ROW_DOT_BLOCK as _LOSS_BLOCK
 from stmmmf.core import SparseRatingMatrix
 from stmmmf.evaluation import split
 
@@ -131,6 +133,24 @@ def test_prediction_clamped():
     )
     # 3.6 + 9 clamps down to 5, 3.6 - 9 clamps up to 1
     assert predict_baseline_many(model, [0, 1], [0, 0]).tolist() == [5.0, 1.0]
+
+
+def test_prediction_holds_no_full_gather():
+    """predict_baseline_many gathers factor rows a block at a time: its
+    traced peak stays below one unblocked (n_test, k) float64 gather,
+    eight times the two block gathers here."""
+    rng = np.random.default_rng(3)
+    n, k = 16 * _LOSS_BLOCK, 32
+    model = BaselineModel(rng.normal(size=(300, k)), rng.normal(size=(400, k)),
+                          rng.normal(size=300), rng.normal(size=400), 3.5, 5)
+    users, items = rng.integers(0, 300, n), rng.integers(0, 400, n)
+    tracemalloc.start()
+    try:
+        predict_baseline_many(model, users, items)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * 8
 
 
 def test_all_zero_model_predicts_mean():

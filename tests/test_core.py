@@ -12,6 +12,7 @@ from stmmmf.core import (
     avg_threshold_gaps,
     discretize,
     discretize_rows,
+    row_dots,
     smooth_hinge,
     smooth_hinge_grad,
     t_indicator,
@@ -22,6 +23,42 @@ def model_with_thresholds(rows):
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     n = rows.shape[0]
     return FactorModel(np.zeros((n, 2)), np.zeros((3, 2)), rows)
+
+
+# ------------------------------------------------------------------- row dots
+
+B = core.ROW_DOT_BLOCK
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("k", [1, 10, 100])
+def test_row_dots_matches_unblocked_einsum_bits(n, k):
+    rng = np.random.default_rng(n * 1000 + k)
+    a, b = rng.normal(size=(37, k)), rng.normal(size=(53, k))
+    a_rows, b_rows = rng.integers(0, 37, n), rng.integers(0, 53, n)
+    want = np.einsum("ij,ij->i", np.take(a, a_rows, axis=0), np.take(b, b_rows, axis=0))
+    for rows in ((a_rows, b_rows), (a_rows.tolist(), b_rows.tolist())):
+        got = row_dots(a, rows[0], b, rows[1])
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_model_scores_hold_no_full_gather():
+    """FactorModel.scores gathers factor rows a block at a time: its traced
+    peak stays below one unblocked (n, k) float64 gather, eight times the
+    two block gathers here."""
+    rng = np.random.default_rng(1)
+    n, k = 16 * B, 32
+    model = FactorModel(rng.normal(size=(300, k)), rng.normal(size=(400, k)),
+                        np.zeros((300, 4)))
+    users, items = rng.integers(0, 300, n), rng.integers(0, 400, n)
+    tracemalloc.start()
+    try:
+        model.scores(users, items)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * 8
 
 
 # ---------------------------------------------------------------- smooth hinge

@@ -59,6 +59,13 @@ def test_ratings_file_rejects_impossible_totals():
         synthetic_ratings_file(seed=0, n_users=10, n_items=5, n_ratings=20, min_per_user=10)
 
 
+def test_ratings_file_rejects_counts_below_the_seeded_items():
+    # 10 items round-robin over 2 users seed 5 items each; 8 ratings cannot
+    # give both users 5
+    with pytest.raises(ValueError, match="cannot meet the totals"):
+        synthetic_ratings_file(seed=0, n_users=2, n_items=10, n_ratings=8, min_per_user=1)
+
+
 # ------------------------------------------- the desk data path, pinned
 
 

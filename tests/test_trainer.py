@@ -1,10 +1,11 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from stmmmf import trainer
+from stmmmf import core, trainer
 from stmmmf.core import (
     FactorModel,
     Hyperparams,
@@ -252,6 +253,34 @@ def test_hinge_loss_object_matches_loop_on_every_call():
             assert loss.value(model) == value
             for g, ref in zip(grads, ref_grads):
                 assert g.tobytes() == ref.tobytes()
+
+
+def test_hinge_loss_call_holds_no_full_gather():
+    """A HingeLoss call gathers the entries' factor rows a block at a time:
+    its traced peak stays below one unblocked (n_observed, k) float64
+    gather, eight times the two block gathers here.  The gradients keep
+    the reference bits across many blocks."""
+    rng = np.random.default_rng(7)
+    n_users = n_items = 512
+    n, k = 16 * core.ROW_DOT_BLOCK, 32
+    keys = rng.choice(n_users * n_items, size=n, replace=False)
+    y = SparseRatingMatrix(n_users, n_items, 2, keys // n_items, keys % n_items,
+                           rng.integers(1, 3, n))
+    model = FactorModel(rng.normal(0, 0.3, (n_users, k)), rng.normal(0, 0.3, (n_items, k)),
+                        np.zeros((n_users, 1)))
+    loss = HingeLoss(y, 1.0)
+    loss(model)  # builds the CSR matrices the matrix fixes
+    tracemalloc.start()
+    try:
+        value, grads = loss(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * 8
+    ref_value, ref_grads = loop_loss_and_grad(model, y, 1.0)
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    for g, ref in zip(grads, ref_grads):
+        assert g.tobytes() == ref.tobytes()
 
 
 # -------------------------------------------------------------------- stepping
