@@ -29,6 +29,7 @@ from .selftrain import (
     SelfTrainResult,
     apply_augment,
     apply_refine,
+    candidate_levels,
     high_confidence_candidates,
     low_confidence_observed,
     overlap_stats,

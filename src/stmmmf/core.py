@@ -152,12 +152,6 @@ class SparseRatingMatrix:
         pos = np.minimum(np.searchsorted(obs, keys), obs.size - 1)
         return obs[pos] == keys
 
-    def observed_mask(self) -> np.ndarray:
-        """Dense boolean (n_users, n_items) mask of observed cells."""
-        mask = np.zeros((self.n_users, self.n_items), dtype=bool)
-        mask[self.users, self.items] = True
-        return mask
-
     def to_dense(self) -> np.ndarray:
         """Dense (n_users, n_items) ratings with 0 for unobserved cells, in the
         narrowest unsigned dtype that holds max_rating (uint8 up to 255)."""

@@ -84,7 +84,9 @@ class IterationReport:
     overlap and retained_frac compare this round's candidate set with the
     previous one and are None on the first round.  steps, converged,
     objective (the final one), kernel_calls and order_violations come
-    from the round's solve (see trainer.TrainTrace).
+    from the round's solve (see trainer.TrainTrace).  test_pseudo counts
+    the test cells that carry a pseudo-rating in the round's input matrix;
+    it is None without a test set.
     """
 
     iteration: int
@@ -98,6 +100,7 @@ class IterationReport:
     gap_clamps: int
     test_mae: Optional[float]
     test_rmse: Optional[float]
+    test_pseudo: Optional[int]
     steps: int
     converged: bool
     objective: float
@@ -125,11 +128,10 @@ class SelfTrainResult:
     stop_reason: str
 
 
-def high_confidence_candidates(
-    model: FactorModel, y: SparseRatingMatrix, tau_augment: float
-) -> SparseRatingMatrix:
+def candidate_levels(model: FactorModel, y: SparseRatingMatrix, tau_augment: float) -> np.ndarray:
     """Unobserved cells whose score sits at least tau_augment average gaps
-    inside a rating interval, as a matrix on y's grid rated with that level.
+    inside a rating interval, as an (n_users, n_items) grid holding that
+    level there and 0 elsewhere, in np.min_scalar_type(max_rating).
 
     The band for rating r is (theta_{r-1} + g*tau, theta_r - g*tau], g the
     user's average threshold gap, scanned by core.discretize_rows: the
@@ -141,24 +143,20 @@ def high_confidence_candidates(
     model.check_matches(y)
     gaps, _ = avg_threshold_gaps(model)
     margin = gaps * tau_augment
-    observed = y.observed_mask()
-    level_dtype = np.min_scalar_type(y.max_rating)
-    keys, levels = [], []
+    grid = np.empty((y.n_users, y.n_items), dtype=np.min_scalar_type(y.max_rating))
     for rows, scores in model.score_blocks():
-        level = discretize_rows(model.thresholds[rows], scores, margin[rows])
-        level[observed[rows]] = 0
-        flat = np.flatnonzero(level)
-        keys.append(flat + rows.start * y.n_items)
-        levels.append(level.ravel()[flat].astype(level_dtype))
-    # Flat keys in row-major block order are sorted and unique: 8 bytes per
-    # candidate plus a 1-byte level until the split into owned int64 columns,
-    # which the matrix takes over after a blockwise order check.  The mask
-    # and the last block's arrays go first, so they do not add to the peak.
-    del observed, scores, level, flat
-    keys, levels = np.concatenate(keys), np.concatenate(levels)
-    users, items = np.divmod(keys, y.n_items)
-    del keys
-    return SparseRatingMatrix(y.n_users, y.n_items, y.max_rating, users, items, levels)
+        grid[rows] = discretize_rows(model.thresholds[rows], scores, margin[rows])
+    grid[y.users, y.items] = 0
+    return grid
+
+
+def high_confidence_candidates(
+    model: FactorModel, y: SparseRatingMatrix, tau_augment: float
+) -> SparseRatingMatrix:
+    """candidate_levels' nonzero cells as a matrix on y's grid."""
+    grid = candidate_levels(model, y, tau_augment)
+    users, items = np.nonzero(grid)
+    return SparseRatingMatrix(y.n_users, y.n_items, y.max_rating, users, items, grid[users, items])
 
 
 def low_confidence_observed(
@@ -216,25 +214,28 @@ def _largest_remainder(quota: np.ndarray, total: int) -> np.ndarray:
 
 
 def sample_augment(
-    cands: SparseRatingMatrix, shares, sample_pct: float, cap: int, rng
+    levels: np.ndarray, shares, sample_pct: float, cap: int, rng
 ) -> SparseRatingMatrix:
-    """Skew-aware sample of the candidate set.
+    """Skew-aware sample of a candidate grid (see candidate_levels).
 
-    Takes min(cap, floor(len(cands) * sample_pct / 100)) entries with
-    per-label quotas from skew_allocation; labels short on supply hand
-    their leftover quota to the others in proportion to remaining supply.
-    Sampling within a label is uniform without replacement.
+    Takes min(cap, floor(n * sample_pct / 100)) of the grid's n nonzero
+    cells with per-label quotas from skew_allocation over the R = len(shares)
+    labels; labels short on supply hand their leftover quota to the others
+    in proportion to remaining supply.  Sampling within a label is uniform
+    without replacement over its cells in row-major order.  Returns the
+    sample as a matrix on the grid with max_rating R.
     """
     if not 0.0 < sample_pct <= 100.0:
         raise ValueError("sample_pct must lie in (0, 100]")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    n = len(cands)
+    n_levels, (n_users, n_items) = len(shares), levels.shape
+    flat = levels.ravel()
+    n = int(np.count_nonzero(flat))
     target = min(int(cap), int(np.floor(n * sample_pct / 100.0)))
     if target <= 0:
-        return cands.select(np.empty(0, dtype=np.int64))
-    n_levels = cands.max_rating
-    supply = np.bincount(cands.ratings, minlength=n_levels + 1)[1:]
+        return SparseRatingMatrix.from_triples(n_users, n_items, n_levels, [])
+    supply = np.array([np.count_nonzero(flat == level) for level in range(1, n_levels + 1)])
     take = np.minimum(skew_allocation(shares, target), supply)
     left = target - int(take.sum())
     if left > 0:
@@ -259,12 +260,11 @@ def sample_augment(
         k = int(take[level - 1])
         if k == 0:
             continue
-        pool_idx = np.nonzero(cands.ratings == level)[0]
-        chosen.append(
-            pool_idx if k >= pool_idx.size else rng.choice(pool_idx, size=k, replace=False)
-        )
-    idx = np.sort(np.concatenate(chosen)) if chosen else np.empty(0, dtype=np.int64)
-    return cands.select(idx)
+        pool = np.flatnonzero(flat == level)
+        chosen.append(pool if k >= pool.size else rng.choice(pool, size=k, replace=False))
+    keys = np.sort(np.concatenate(chosen))
+    users, items = np.divmod(keys, n_items)
+    return SparseRatingMatrix(n_users, n_items, n_levels, users, items, flat[keys])
 
 
 def apply_augment(y: SparseRatingMatrix, selected: SparseRatingMatrix) -> SparseRatingMatrix:
@@ -293,25 +293,20 @@ def apply_refine(y: SparseRatingMatrix, removals) -> SparseRatingMatrix:
     return y.select(~np.isin(y.observed_keys(), rem_keys))
 
 
-def overlap_stats(prev_levels: np.ndarray, cur: SparseRatingMatrix):
-    """Exact-triple overlap with the previous candidate set.
+def overlap_stats(prev: np.ndarray, cur: np.ndarray):
+    """Exact-triple overlap of two candidate grids (see candidate_levels).
 
-    prev_levels is the previous set as a dense grid on cur's users and
-    items (SparseRatingMatrix.to_dense(): the candidate's rating per cell,
-    0 elsewhere), so a triple (u, i, r) of cur is retained when
-    prev_levels[u, i] == r.  Returns (overlap count, fraction of the
-    previous set retained); the fraction is 0 when the previous set is
-    empty.  Raises ValueError when the grid's shape is not cur's.
+    A cell is retained when both grids hold the same nonzero level there.
+    Returns (overlap count, fraction of the previous set retained); the
+    fraction is 0 when the previous grid is empty.  Raises ValueError when
+    the grids' shapes differ.
     """
-    if prev_levels.shape != (cur.n_users, cur.n_items):
-        raise ValueError(
-            f"previous candidate grid {prev_levels.shape} differs from "
-            f"the current set's {(cur.n_users, cur.n_items)}"
-        )
-    n_prev = int(np.count_nonzero(prev_levels))
+    if prev.shape != cur.shape:
+        raise ValueError(f"previous candidate grid {prev.shape} differs from current {cur.shape}")
+    n_prev = int(np.count_nonzero(prev))
     if n_prev == 0:
         return 0, 0.0
-    overlap = int(np.count_nonzero(prev_levels[cur.users, cur.items] == cur.ratings))
+    overlap = int(np.count_nonzero((prev == cur) & (cur != 0)))
     return overlap, overlap / n_prev
 
 
@@ -339,7 +334,7 @@ def selftrain_loop(
     y = y0
     reports: list[IterationReport] = []
     model = None
-    prev_levels = None  # the previous round's candidates as a dense grid
+    prev_levels = None  # the previous round's candidate grid
     prev_mae = None
     worse_streak = 0
     stop_reason = "max_rounds"
@@ -353,16 +348,18 @@ def selftrain_loop(
             stop_reason = "diverged"
             break
         _, n_clamped = avg_threshold_gaps(model)
-        cands = high_confidence_candidates(model, y, cfg.tau_augment)
+        levels = candidate_levels(model, y, cfg.tau_augment)
         removals = low_confidence_observed(model, y, cfg.tau_refine)
         rng = np.random.default_rng([cfg.seed, iteration])
-        selected = sample_augment(cands, y.rating_shares(), cfg.sample_pct, cfg.cap, rng)
+        selected = sample_augment(levels, y.rating_shares(), cfg.sample_pct, cfg.cap, rng)
         y_next = apply_refine(y, removals)
         y_next = apply_augment(y_next, selected)
         overlap = retained = None
         if prev_levels is not None:
-            overlap, retained = overlap_stats(prev_levels, cands)
-        test_mae = test_rmse = None
+            overlap, retained = overlap_stats(prev_levels, levels)
+        test_mae = test_rmse = test_pseudo = None
+        if test is not None:
+            test_pseudo = int(y.contains(test.users, test.items).sum())
         if test is not None and test.n_observed:
             preds = predict_ratings(model, test.users, test.items, trained_on=y)
             metrics = snapshot(np.column_stack([test.ratings, preds]))
@@ -371,7 +368,7 @@ def selftrain_loop(
             iteration=iteration,
             observed=y.n_observed,
             unobserved=y.n_unobserved,
-            candidates=len(cands),
+            candidates=int(np.count_nonzero(levels)),
             augmented=len(selected),
             refined=int(np.asarray(removals[0]).size),
             overlap=overlap,
@@ -379,6 +376,7 @@ def selftrain_loop(
             gap_clamps=n_clamped,
             test_mae=test_mae,
             test_rmse=test_rmse,
+            test_pseudo=test_pseudo,
             steps=trace.iterations,
             converged=trace.converged,
             objective=float(trace.objectives[-1]),
@@ -388,10 +386,7 @@ def selftrain_loop(
         reports.append(report)
         if callback is not None:
             callback(report, model, y, y_next)
-        # Keep this round's candidates as a 1-byte grid and release the
-        # matrix before the next solve.
-        prev_levels = cands.to_dense()
-        del cands
+        prev_levels = levels
         y = y_next
         if report.candidates == 0:
             stop_reason = "no_candidates"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,6 +374,42 @@ def test_gridsearch_workers_match_serial(toy_files):
     assert run(grid_args(train_path, pooled, *grid, "--workers", "2")) == 0
     assert len(serial.read_text().splitlines()) == 3
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+# Runs each argv of the JSON list in sys.argv[1] through cli.main.
+CLI_SCRIPT = ("import json, sys\nfrom stmmmf.cli import main\n"
+              "sys.exit(max(map(main, json.loads(sys.argv[1]))))")
+
+
+def test_outputs_do_not_depend_on_blas_threads_or_workers(tmp_path):
+    """A 1-round selftrain and a 2-cell gridsearch, each run in a fresh
+    process at OPENBLAS_NUM_THREADS 1 (gridsearch --workers 1) and 2
+    (--workers 2), write the same model, reports and grid bytes.  The
+    300 x 300 matrix makes each 256-user score block a 256 x 300 x 4
+    matrix product."""
+    truth = planted_model(300, 300, rank=2, seed=1)
+    full = planted_matrix(truth, observed_frac=0.1, seed=2, noise=0.4)
+    train_m, test_m = split(full, 0.8, seed=3)
+    save_matrix(train_m, tmp_path / "train.stmat")
+    save_matrix(test_m, tmp_path / "test.stmat")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for n in ("1", "2"):
+        out = tmp_path / f"threads{n}"
+        argvs = [
+            selftrain_args(out, tmp_path / "train.stmat", tmp_path / "test.stmat", iters="1"),
+            grid_args(tmp_path / "train.stmat", out / "grid.csv", "--lambda-grid", "0.2,1",
+                      "--tau1-grid", "30", "--s-grid", "100", "--workers", n),
+        ]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argvs = json.dumps([[str(a) for a in argv] for argv in argvs])
+        subprocess.run([sys.executable, "-c", CLI_SCRIPT, argvs], env=env, check=True,
+                       capture_output=True)
+        outputs.append([(out / name).read_bytes() for name in
+                        ("run/model.stmmmf", "run/reports.jsonl", "run/reports.csv", "grid.csv")])
+    assert len(outputs[0][1].splitlines()) == 1 and len(outputs[0][3].splitlines()) == 3
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -331,7 +331,7 @@ def test_matrix_counts_and_mask():
     y = SparseRatingMatrix.from_triples(2, 3, 5, [(0, 0, 1), (0, 2, 5), (1, 1, 3)])
     assert y.n_observed == 3
     assert y.n_unobserved == 3
-    mask = y.observed_mask()
+    mask = y.to_dense() != 0
     assert mask.sum() == 3 and mask[0, 0] and mask[1, 1]
     assert list(y.user_counts()) == [2, 1]
     np.testing.assert_allclose(y.rating_shares(), [1 / 3, 0, 1 / 3, 0, 1 / 3])

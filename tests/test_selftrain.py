@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stmmmf.core import (
-    FactorModel, Hyperparams, SparseRatingMatrix, avg_threshold_gaps, discretize,
+    SCORE_BLOCK, FactorModel, Hyperparams, SparseRatingMatrix, avg_threshold_gaps, discretize,
 )
 from stmmmf import selftrain
 from stmmmf.evaluation import MetricsSnapshot, split
@@ -14,6 +14,7 @@ from stmmmf.selftrain import (
     SelfTrainConfig,
     apply_augment,
     apply_refine,
+    candidate_levels,
     high_confidence_candidates,
     low_confidence_observed,
     overlap_stats,
@@ -72,15 +73,15 @@ def test_high_confidence_top_band_one_sided():
     assert found[(0, 1)] == 5      # 6.0 > 4.25, one-sided top band
 
 
-def test_high_confidence_peak_allocation_is_small_next_to_the_result():
-    """Building the candidate set allocates at most 1.25 times the result's
-    three int64 columns (about 1.13 here): each block keeps its flat cell
-    indices and 1-byte levels, the concatenated indices are split by divmod
-    into owned columns, and the matrix checks their order blockwise and
-    takes them over without sorting or copying them.  A full key array for
-    the order check reads about 1.42 on these 514,055 candidates, keeping
-    each block's (user, item, level) int64 columns about 2.5, and a re-sort
-    and copy of them about 4.1."""
+def test_candidate_levels_peak_allocation_is_the_grid_and_a_few_blocks():
+    """Building the candidate grid allocates at most the 1-byte grid and
+    four float64 score blocks (2.6 MB here; it reads about 1.9 MB), however
+    many candidates the grid holds: each block's levels go straight into
+    the grid and the observed cells are zeroed by a scatter, so no
+    per-candidate array and no dense mask is built.  The triple-matrix
+    build it replaced (flat indices per block, concatenated and split by
+    divmod into int64 columns) peaked at 13.9 MB on these 514,055
+    candidates."""
     rng = np.random.default_rng(0)
     n_users, n_items = 2048, 256
     model = FactorModel(rng.normal(size=(n_users, 3)), rng.normal(size=(n_items, 3)),
@@ -89,12 +90,13 @@ def test_high_confidence_peak_allocation_is_small_next_to_the_result():
                            np.zeros(n_users, dtype=np.int64), np.full(n_users, 3))
     tracemalloc.start()
     try:
-        got = high_confidence_candidates(model, y, 0.01)
+        grid = candidate_levels(model, y, 0.01)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(got) == 514_055
-    assert peak <= 1.25 * (3 * 8 * len(got))
+    assert grid.dtype == np.uint8 and grid.shape == (n_users, n_items)
+    assert np.count_nonzero(grid) == 514_055
+    assert peak <= grid.nbytes + 4 * SCORE_BLOCK * n_items * 8
 
 
 def test_high_confidence_tau_validated():
@@ -167,7 +169,7 @@ def open_scan_candidates(model, y, tau):
     scores = model.user_factors @ model.item_factors.T
     n_levels = model.max_rating
     assigned = np.zeros(scores.shape, dtype=np.int64)
-    free = ~y.observed_mask()
+    free = y.to_dense() == 0
     lo = np.full((model.n_users, 1), -np.inf)
     for r in range(1, n_levels + 1):
         hi = model.thresholds[:, r - 1 : r] if r < n_levels else np.full((model.n_users, 1), np.inf)
@@ -209,9 +211,11 @@ def random_band_instance(seed, sort_rows):
 def test_candidates_match_open_scan_reference(seed, sort_rows):
     model, y = random_band_instance(seed, sort_rows)
     for tau in (0.1, 0.3, 0.4999):
+        grid = candidate_levels(model, y, tau)
+        assert np.count_nonzero(grid) > 0
+        np.testing.assert_array_equal(grid, open_scan_candidates(model, y, tau))
         got = high_confidence_candidates(model, y, tau)
-        assert len(got) > 0
-        np.testing.assert_array_equal(got.to_dense(), open_scan_candidates(model, y, tau))
+        np.testing.assert_array_equal(got.to_dense(), grid)
 
 
 @pytest.mark.parametrize("sort_rows", [True, False], ids=["sorted", "unsorted"])
@@ -287,21 +291,21 @@ def test_sample_cap_binds():
     rng = np.random.default_rng(3)
     pool = cands([(0, j, (j % 5) + 1) for j in range(200)], n_items=200)
     shares = np.bincount(pool.ratings, minlength=6)[1:] / 200
-    got = sample_augment(pool, shares, 100.0, 50, rng)
+    got = sample_augment(pool.to_dense(), shares, 100.0, 50, rng)
     assert len(got) == 50
 
 
 def test_sample_everything_when_unconstrained():
     rng = np.random.default_rng(4)
     pool = cands([(0, j, (j % 5) + 1) for j in range(10)])
-    got = sample_augment(pool, [0.2] * 5, 100.0, 10**9, rng)
+    got = sample_augment(pool.to_dense(), [0.2] * 5, 100.0, 10**9, rng)
     assert len(got) == 10
 
 
 def test_sample_percentage_floor():
     rng = np.random.default_rng(5)
     pool = cands([(0, j, (j % 5) + 1) for j in range(99)], n_items=99)
-    got = sample_augment(pool, [0.2] * 5, 10.0, 10**9, rng)
+    got = sample_augment(pool.to_dense(), [0.2] * 5, 10.0, 10**9, rng)
     assert len(got) == 9  # floor(99 * 0.10)
 
 
@@ -310,16 +314,72 @@ def test_sample_redistributes_to_available_labels():
     # nothing; redistribution must still fill the target from label 1
     rng = np.random.default_rng(6)
     pool = cands([(0, j, 1) for j in range(30)], n_items=30, max_rating=3)
-    got = sample_augment(pool, [1.0, 0.0, 0.0], 100.0, 12, rng)
+    got = sample_augment(pool.to_dense(), [1.0, 0.0, 0.0], 100.0, 12, rng)
     assert len(got) == 12
     assert np.all(got.ratings == 1)
+
+
+def matrix_sample_augment(cands, shares, sample_pct, cap, rng):
+    """Reference: the sampler over a candidate triple matrix, drawing each
+    label's pool from the matrix's positions (key order)."""
+    target = min(int(cap), int(np.floor(len(cands) * sample_pct / 100.0)))
+    if target <= 0:
+        return cands.select(np.empty(0, dtype=np.int64))
+    supply = np.bincount(cands.ratings, minlength=cands.max_rating + 1)[1:]
+    take = np.minimum(skew_allocation(shares, target), supply)
+    left = target - int(take.sum())
+    if left > 0:
+        avail = supply - take
+        frac = left * avail / int(avail.sum())
+        add = np.floor(frac).astype(np.int64)
+        shortfall = left - int(add.sum())
+        rem = np.where(avail > add, frac - add, -1.0)
+        for idx in np.argsort(-rem, kind="stable"):
+            if shortfall == 0:
+                break
+            room = int(avail[idx] - add[idx])
+            if room > 0:
+                inc = min(room, shortfall)
+                add[idx] += inc
+                shortfall -= inc
+        take += add
+    chosen = []
+    for level in range(1, cands.max_rating + 1):
+        k = int(take[level - 1])
+        if k:
+            pool_idx = np.nonzero(cands.ratings == level)[0]
+            chosen.append(pool_idx if k >= pool_idx.size
+                          else rng.choice(pool_idx, size=k, replace=False))
+    return cands.select(np.sort(np.concatenate(chosen)))
+
+
+@pytest.mark.parametrize("sample_pct,cap", [(100.0, 100), (100.0, 480), (30.0, 10**9)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sample_on_the_grid_picks_the_matrix_paths_cells(seed, sample_pct, cap):
+    # 493 candidates on a 20 x 50 grid; label 1 has 3 cells and label 5 has
+    # 40, while the skew allocation favours both, so the spill loop runs
+    rng = np.random.default_rng(seed)
+    grid = np.zeros((20, 50), dtype=np.uint8)
+    labels = rng.permutation(np.repeat(np.arange(1, 6), [3, 200, 150, 100, 40]))
+    grid.flat[rng.choice(grid.size, size=labels.size, replace=False)] = labels
+    users, items = np.nonzero(grid)
+    pool = SparseRatingMatrix(20, 50, 5, users, items, grid[users, items])
+    shares = [0.05, 0.3, 0.3, 0.3, 0.05]
+    target = min(cap, int(len(pool) * sample_pct / 100.0))
+    supply = np.bincount(pool.ratings, minlength=6)[1:]
+    assert np.any(skew_allocation(shares, target) > supply)
+    got = sample_augment(grid, shares, sample_pct, cap, np.random.default_rng(seed + 10))
+    want = matrix_sample_augment(pool, shares, sample_pct, cap, np.random.default_rng(seed + 10))
+    assert (got.n_users, got.n_items, got.max_rating, len(got)) == (20, 50, 5, target)
+    for column in ("users", "items", "ratings"):
+        np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
 
 
 def test_sample_deterministic_per_rng_seed():
     pool = cands([(0, j, (j % 5) + 1) for j in range(500)], n_items=500)
     shares = [0.2] * 5
-    a = sample_augment(pool, shares, 50.0, 100, np.random.default_rng(9))
-    b = sample_augment(pool, shares, 50.0, 100, np.random.default_rng(9))
+    a = sample_augment(pool.to_dense(), shares, 50.0, 100, np.random.default_rng(9))
+    b = sample_augment(pool.to_dense(), shares, 50.0, 100, np.random.default_rng(9))
     np.testing.assert_array_equal(a.items, b.items)
 
 
@@ -367,18 +427,18 @@ def test_overlap_stats_cases():
     a, b, c, d = (0, 0, 1), (0, 1, 2), (0, 2, 3), (0, 3, 4)
     prev = cands([a, b, c])
     cur = cands([b, c, d])
-    assert overlap_stats(prev.to_dense(), cur) == (2, pytest.approx(2 / 3))
-    assert overlap_stats(cands([]).to_dense(), cur) == (0, 0.0)
+    assert overlap_stats(prev.to_dense(), cur.to_dense()) == (2, pytest.approx(2 / 3))
+    assert overlap_stats(cands([]).to_dense(), cur.to_dense()) == (0, 0.0)
 
 
 def test_overlap_requires_exact_triple():
     prev = cands([(0, 0, 1)])
     cur = cands([(0, 0, 2)])  # same cell, different rating
-    assert overlap_stats(prev.to_dense(), cur) == (0, 0.0)
+    assert overlap_stats(prev.to_dense(), cur.to_dense()) == (0, 0.0)
 
 
 def test_overlap_rejects_grid_of_another_shape():
-    cur = cands([(0, 0, 1)])  # 10 x 10
+    cur = cands([(0, 0, 1)]).to_dense()  # 10 x 10
     for shape in ((10, 11), (11, 10), (100,)):
         with pytest.raises(ValueError, match="differs"):
             overlap_stats(np.ones(shape, dtype=np.uint8), cur)
@@ -459,11 +519,11 @@ def test_loop_first_report_counts():
 
 
 def test_loop_releases_each_rounds_candidates_before_the_next_solve(monkeypatch):
-    """Only a dense grid of the previous round's candidates crosses a round:
-    no earlier round's candidate matrix is alive when the next solve starts."""
+    """Only the previous round's candidate grid crosses a round: no older
+    grid is alive when the next solve starts."""
     train_m, test_m = small_problem()
     refs, alive = [], []
-    build, solve = selftrain.high_confidence_candidates, selftrain.train
+    build, solve = selftrain.candidate_levels, selftrain.train
 
     def recording_build(*args):
         result = build(*args)
@@ -471,31 +531,34 @@ def test_loop_releases_each_rounds_candidates_before_the_next_solve(monkeypatch)
         return result
 
     def checking_solve(*args):
-        alive.append(any(ref() is not None for ref in refs))
+        alive.append([ref() is not None for ref in refs])
         return solve(*args)
 
-    monkeypatch.setattr(selftrain, "high_confidence_candidates", recording_build)
+    monkeypatch.setattr(selftrain, "candidate_levels", recording_build)
     monkeypatch.setattr(selftrain, "train", checking_solve)
-    result = selftrain_loop(train_m, loop_config(max_rounds=3), test_m)
-    assert len(result.reports) == 3
-    assert alive == [False, False, False]
+    result = selftrain_loop(train_m, loop_config(max_rounds=4), test_m)
+    assert len(result.reports) == 4
+    assert alive == [[], [True], [False, True], [False, False, True]]
 
 
 def test_loop_overlap_is_the_exact_triple_intersection(monkeypatch):
     train_m, test_m = small_problem()
-    rounds, build = [], selftrain.high_confidence_candidates
+    rounds, build = [], selftrain.candidate_levels
 
     def recording_build(*args):
         rounds.append(build(*args))
         return rounds[-1]
 
-    monkeypatch.setattr(selftrain, "high_confidence_candidates", recording_build)
+    def triples(grid):
+        keys = np.flatnonzero(grid)
+        return keys * (train_m.max_rating + 1) + grid.ravel()[keys]
+
+    monkeypatch.setattr(selftrain, "candidate_levels", recording_build)
     result = selftrain_loop(train_m, loop_config(), test_m)
     assert len(result.reports) == len(rounds) >= 3
     for prev, cur, report in zip(rounds, rounds[1:], result.reports[1:]):
-        triples = [m.observed_keys() * (m.max_rating + 1) + m.ratings for m in (prev, cur)]
-        overlap = np.intersect1d(*triples, assume_unique=True).size
-        assert (report.overlap, report.retained_frac) == (overlap, overlap / len(prev))
+        overlap = np.intersect1d(triples(prev), triples(cur), assume_unique=True).size
+        assert (report.overlap, report.retained_frac) == (overlap, overlap / np.count_nonzero(prev))
     assert all(r.overlap > 0 for r in result.reports[1:])
 
 
@@ -567,7 +630,20 @@ def test_loop_stops_after_patience_worse_rounds(monkeypatch):
 def test_loop_without_test_matrix():
     train_m, _ = small_problem()
     result = selftrain_loop(train_m, loop_config(max_rounds=2))
-    assert all(r.test_mae is None for r in result.reports)
+    assert all(r.test_mae is None and r.test_pseudo is None for r in result.reports)
+
+
+def test_test_pseudo_counts_test_cells_carrying_a_pseudo_rating():
+    train_m, test_m = small_problem()
+    counted = []
+
+    def count(report, model, y_in, y_out):
+        counted.append(np.intersect1d(y_in.observed_keys(), test_m.observed_keys()).size)
+
+    result = selftrain_loop(train_m, loop_config(), test_m, callback=count)
+    got = [r.test_pseudo for r in result.reports]
+    assert got == counted and got[0] == 0 and got[-1] > 0
+    assert json.loads(result.reports[-1].to_json())["test_pseudo"] == got[-1]
 
 
 def test_report_serialization():
