@@ -6,7 +6,6 @@ from .core import (
     Hyperparams,
     SparseRatingMatrix,
     avg_threshold_gaps,
-    discretize,
     smooth_hinge,
     smooth_hinge_grad,
     t_indicator,
@@ -15,10 +14,8 @@ from .trainer import (
     TrainingDivergedError,
     TrainTrace,
     complete_matrix,
-    compute_gradients,
     gd_step,
     load_checkpoint,
-    objective,
     predict_ratings,
     save_checkpoint,
     train,
@@ -30,7 +27,6 @@ from .selftrain import (
     apply_augment,
     apply_refine,
     candidate_levels,
-    high_confidence_candidates,
     low_confidence_observed,
     overlap_stats,
     sample_augment,

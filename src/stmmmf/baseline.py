@@ -15,6 +15,9 @@ from .core import SparseRatingMatrix, row_dots
 from .evaluation import MetricsSnapshot, snapshot
 from .trainer import TrainingDivergedError
 
+# Ratings per mini-batch of train_baseline's gradient passes.
+BATCH_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class BaselineConfig:
@@ -23,12 +26,10 @@ class BaselineConfig:
     epochs: int = 20
     lr: float = 0.005
     seed: int = 0
-    batch_size: int = 1024
 
     def __post_init__(self):
         # epochs = 0 (a global-mean model) and n_factors = 0 stay valid.
-        for name, low in (("n_factors", 0), ("epochs", 0), ("reg", 0), ("seed", 0),
-                          ("batch_size", 1)):
+        for name, low in (("n_factors", 0), ("epochs", 0), ("reg", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         if self.lr <= 0:
@@ -81,8 +82,8 @@ def train_baseline(y: SparseRatingMatrix, cfg: BaselineConfig) -> BaselineModel:
     prev = np.inf
     for _ in range(cfg.epochs):
         order = rng.permutation(y.n_observed)
-        for start in range(0, order.size, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+        for start in range(0, order.size, BATCH_SIZE):
+            batch = order[start : start + BATCH_SIZE]
             uu, ii = y.users[batch], y.items[batch]
             pu, qi = p[uu], q[ii]
             err = y.ratings[batch] - (mu + bu[uu] + bi[ii] + np.einsum("ij,ij->i", pu, qi))

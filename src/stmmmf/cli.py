@@ -34,6 +34,8 @@ def _fail(message: str) -> int:
 
 
 def cmd_ingest(args, parser) -> int:
+    if args.min_ratings < 0:
+        parser.error("--min-ratings must be >= 0")
     parse = {"ml100k": parse_ml100k, "ml1m": parse_ml1m}[args.flavor]
     result = preprocess(parse(args.input), min_ratings=args.min_ratings)
     y = result.matrix
@@ -48,6 +50,8 @@ def cmd_ingest(args, parser) -> int:
 def cmd_split(args, parser) -> int:
     if not 0.0 < args.frac < 1.0:
         parser.error("--frac must lie strictly between 0 and 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     y = load_matrix(args.input)
     train, test = split(y, args.frac, args.seed)
     save_matrix(train, args.train_out)

@@ -337,13 +337,6 @@ def discretize_rows(threshold_rows: np.ndarray, scores: np.ndarray, margin=0.0) 
     return out
 
 
-def discretize(model: FactorModel, i: int, x: float) -> int:
-    """Rating level whose threshold interval of user i contains score x."""
-    if not np.isfinite(x):
-        raise ValueError("score must be finite")
-    return int(discretize_rows(model.thresholds[i][None], np.array([[x]]))[0, 0])
-
-
 def avg_threshold_gaps(model: FactorModel):
     """Per-user average threshold gap and how many rows hit the clamp.
 

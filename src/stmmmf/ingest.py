@@ -37,7 +37,6 @@ class RawRatings:
     item_ids: np.ndarray
     ratings: np.ndarray
     timestamps: np.ndarray
-    source: str
 
     def __len__(self) -> int:
         return int(self.user_ids.size)
@@ -127,7 +126,7 @@ def _rating_table(lines, delimiter: str, max_rating: int) -> np.ndarray:
     return table
 
 
-def _parse_delimited(source, delimiter: str, source_tag: str, max_rating: int = 5) -> RawRatings:
+def _parse_delimited(source, delimiter: str, max_rating: int = 5) -> RawRatings:
     with open_text(source) as stream:  # a stream that cannot seek gets no line numbers
         start = stream.tell() if stream.seekable() else None
         try:
@@ -142,17 +141,17 @@ def _parse_delimited(source, delimiter: str, source_tag: str, max_rating: int = 
                 except ValueError as exc:
                     raise ParseError(line_no, str(exc)) from None
             raise
-    return RawRatings(*table.T.copy(), source_tag)
+    return RawRatings(*table.T.copy())
 
 
 def parse_ml100k(source) -> RawRatings:
     """Parse tab-separated `user item rating timestamp` lines."""
-    return _parse_delimited(source, "\t", "ml100k")
+    return _parse_delimited(source, "\t")
 
 
 def parse_ml1m(source) -> RawRatings:
     """Parse `user::item::rating::timestamp` lines."""
-    return _parse_delimited(source, "::", "ml1m")
+    return _parse_delimited(source, "::")
 
 
 def preprocess(raw: RawRatings, min_ratings: int = 20, max_rating: int = 5) -> PreprocessResult:
@@ -182,7 +181,7 @@ def preprocess(raw: RawRatings, min_ratings: int = 20, max_rating: int = 5) -> P
         # The key would overflow: key on the ids' ranks, which keep their order.
         user_ids, users = np.unique(raw.user_ids, return_inverse=True)
         item_ids, items = np.unique(raw.item_ids, return_inverse=True)
-        ranked = preprocess(RawRatings(users, items, raw.ratings, raw.timestamps, raw.source),
+        ranked = preprocess(RawRatings(users, items, raw.ratings, raw.timestamps),
                             min_ratings, max_rating)
         return PreprocessResult(ranked.matrix, user_ids[ranked.user_ids],
                                 item_ids[ranked.item_ids], ranked.n_duplicates)

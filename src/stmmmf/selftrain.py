@@ -107,18 +107,19 @@ class IterationReport:
     kernel_calls: int
     order_violations: int
 
-    def to_json(self) -> str:
+    def _record(self) -> dict:
+        """The fields by name, iteration as "iter" and first."""
         fields = asdict(self)
-        return json.dumps({"iter": fields.pop("iteration"), **fields})
+        return {"iter": fields.pop("iteration"), **fields}
+
+    def to_json(self) -> str:
+        return json.dumps(self._record())
 
     def to_csv_row(self) -> list:
         def fmt(v):
             return "" if v is None else (f"{v:.6f}" if isinstance(v, float) else str(v))
-        return [fmt(v) for v in (
-            self.iteration, self.observed, self.unobserved, self.candidates,
-            self.augmented, self.refined, self.overlap, self.retained_frac,
-            self.test_mae, self.test_rmse,
-        )]
+        record = self._record()
+        return [fmt(record[column]) for column in REPORT_CSV_COLUMNS]
 
 
 @dataclass
@@ -150,20 +151,11 @@ def candidate_levels(model: FactorModel, y: SparseRatingMatrix, tau_augment: flo
     return grid
 
 
-def high_confidence_candidates(
-    model: FactorModel, y: SparseRatingMatrix, tau_augment: float
-) -> SparseRatingMatrix:
-    """candidate_levels' nonzero cells as a matrix on y's grid."""
-    grid = candidate_levels(model, y, tau_augment)
-    users, items = np.nonzero(grid)
-    return SparseRatingMatrix(y.n_users, y.n_items, y.max_rating, users, items, grid[users, items])
-
-
 def low_confidence_observed(
     model: FactorModel, y: SparseRatingMatrix, tau_refine: float
 ):
     """Observed cells whose score no band at tau_refine average gaps holds
-    (bands as in high_confidence_candidates), as (users, items) arrays.
+    (bands as in candidate_levels), as (users, items) arrays.
 
     On a sorted threshold row that means within tau_refine gaps of a stored
     threshold, apart from exact float ties.  On any row, a cell confident

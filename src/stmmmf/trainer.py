@@ -9,19 +9,18 @@ textual checkpoint format.
 A solve builds one HingeLoss from the training matrix and the
 regularizer.  It holds what the matrix fixes: the threshold-major
 (R-1, n_observed) sign matrix of every term, the per-user entry counts,
-one term buffer and, from the first gradient call on, the CSR matrices
-(user-by-entry, and user-by-item with its transpose).  Each call
-computes only what depends on the model: the entry scores, gathered in
-row blocks so that no (n_observed, k) factor copy is built, the
-threshold rows spread over each user's entries, the hinge value
-0.5 * ||c - 1||^2 - sum(min(z, 0)) with c = clip(z, 0, 1), the
-coefficients of every term in place, the per-entry weights written into
-the CSR data, and the sparse products.
+one term buffer and the CSR matrices (user-by-entry, and user-by-item
+with its transpose), all built with the object.  Each call computes only
+what depends on the model: the entry scores, gathered in row blocks so
+that no (n_observed, k) factor copy is built, the threshold rows spread
+over each user's entries, the hinge value 0.5 * ||c - 1||^2 -
+sum(min(z, 0)) with c = clip(z, 0, 1), the coefficients of every term
+in place, the per-entry weights written into the CSR data, and the
+sparse products.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +69,9 @@ class HingeLoss:
     threshold-major, one row of n_observed entries per level, so every
     elementwise pass runs over long contiguous rows.  With
     c = clip(z, 0, 1) the hinge sum is 0.5 * ||c - 1||^2 - sum(min(z, 0)),
-    taken in two reductions.  What depends only on y is built once per
-    object, so a solve builds one and calls it per model.
+    taken in two reductions.  What depends only on y, the sign matrix and
+    the CSR matrices included, is built with the object, so a solve builds
+    one and calls it per model.
     """
 
     def __init__(self, y: SparseRatingMatrix, reg: float):
@@ -83,24 +83,21 @@ class HingeLoss:
         self._t = t_indicator(levels[:, None], y.ratings).astype(np.float64)
         self._counts = y.user_counts()
         self._d = np.empty_like(self._t)
-
-    @functools.cached_property
-    def _csr(self):
-        """(w, w.T, by_user), built on the first gradient call, so that the
-        objective alone never builds them; w.T shares w's data."""
-        y, n = self.y, self.y.n_observed
         # Entries are sorted by (user, item), so each user's entries form one
         # CSR row and the row pointer is the running count of entries per user.
+        n = y.n_observed
         indptr = np.concatenate(([0], np.cumsum(self._counts)))
         by_user = sparse.csr_matrix((np.ones(n), np.arange(n), indptr), shape=(y.n_users, n))
         w = sparse.csr_matrix((np.zeros(n), y.items, indptr), shape=(y.n_users, y.n_items))
-        return w, w.T, by_user
+        # (w, w.T, by_user); w.T shares w's data, the per-entry weights.
+        self._csr = w, w.T, by_user
 
-    def _terms(self, model: FactorModel):
-        """Objective value and d = clip(z, 0, 1) - 1 of every term's hinge
-        argument z; d lives in a buffer the next call overwrites."""
+    def __call__(self, model: FactorModel):
+        """(value, (g_user, g_item, g_theta)); users or items with no
+        observed ratings only receive the regularizer term (zero for
+        thresholds)."""
         model.check_matches(self.y)
-        U, V, y = model.user_factors, model.item_factors, self.y
+        U, V, y, reg = model.user_factors, model.item_factors, self.y, self.reg
         x = row_dots(U, y.users, V, y.items)
         z = np.repeat(model.thresholds.T, self._counts, axis=1)
         z -= x
@@ -110,19 +107,9 @@ class HingeLoss:
         d = np.clip(z, 0.0, 1.0, out=self._d)
         d -= 1.0
         hinge = 0.5 * np.einsum("ij,ij->", d, d) - np.minimum(z, 0.0, out=z).sum()
-        norms = np.sum(U**2) + np.sum(V**2)
-        return float(hinge + 0.5 * self.reg * norms), d
-
-    def value(self, model: FactorModel) -> float:
-        """The objective alone, without building gradients."""
-        return self._terms(model)[0]
-
-    def __call__(self, model: FactorModel):
-        """(value, (g_user, g_item, g_theta)); users or items with no
-        observed ratings only receive the regularizer term (zero for
-        thresholds)."""
-        value, coef = self._terms(model)
-        # smooth_hinge_grad(z) = c - 1, scaled by the sign of each term.
+        value = float(hinge + 0.5 * reg * (np.sum(U**2) + np.sum(V**2)))
+        # smooth_hinge_grad(z) = c - 1 = d, scaled in place by each term's sign.
+        coef = d
         coef *= self._t
         # Each entry's weight adds its terms in threshold order from 0.0,
         # like the per-threshold reference loop.
@@ -131,21 +118,10 @@ class HingeLoss:
         weights.fill(0.0)
         for row in coef:
             weights += row
-        U, V, reg = model.user_factors, model.item_factors, self.reg
         # One matvec per threshold sums each user's entries from 0.0 in
         # entry order; by_user @ coef.T would first copy coef transposed.
         g_theta = np.column_stack([by_user @ row for row in coef])
         return value, (reg * U - w @ V, reg * V - w_t @ U, g_theta)
-
-
-def objective(model: FactorModel, y: SparseRatingMatrix, reg: float) -> float:
-    """Regularized all-threshold hinge objective (see HingeLoss)."""
-    return HingeLoss(y, reg).value(model)
-
-
-def compute_gradients(model: FactorModel, y: SparseRatingMatrix, reg: float):
-    """Exact (g_user, g_item, g_theta) of the objective (see HingeLoss)."""
-    return HingeLoss(y, reg)(model)[1]
 
 
 def gd_step(model: FactorModel, grads, lr: float) -> FactorModel:

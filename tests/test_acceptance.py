@@ -18,21 +18,20 @@ import pytest
 
 import stmmmf as st
 from stmmmf.baseline import BaselineConfig, rounds_experiment, strip_overlap
-from stmmmf.core import FactorModel, SparseRatingMatrix, discretize
+from stmmmf.core import FactorModel, SparseRatingMatrix, discretize_rows
 from stmmmf.evaluation import ConfusionMatrix, confusion, hr_at_k, hr_table, mae, rmse, split
 from stmmmf.ingest import load_matrix, parse_ml100k, preprocess, save_matrix
 from stmmmf.selftrain import (
     SelfTrainConfig,
-    high_confidence_candidates,
+    candidate_levels,
     low_confidence_observed,
     selftrain_loop,
     skew_allocation,
 )
 from stmmmf.synthetic import planted_matrix, planted_model, synthetic_ratings_file
 from stmmmf.trainer import (
-    compute_gradients,
+    HingeLoss,
     load_checkpoint,
-    objective,
     predict_ratings,
     save_checkpoint,
     train,
@@ -128,7 +127,8 @@ def test_gradient_oracle():
             continue
 
         reg = float(rng.uniform(0, 2))
-        analytic = compute_gradients(model, y, reg)
+        loss = HingeLoss(y, reg)
+        analytic = loss(model)[1]
         step = 1e-5
 
         def fd_block(block, rebuild):
@@ -136,9 +136,7 @@ def test_gradient_oracle():
             for idx in np.ndindex(block.shape):
                 plus = block.copy(); plus[idx] += step
                 minus = block.copy(); minus[idx] -= step
-                out[idx] = (
-                    objective(rebuild(plus), y, reg) - objective(rebuild(minus), y, reg)
-                ) / (2 * step)
+                out[idx] = (loss(rebuild(plus))[0] - loss(rebuild(minus))[0]) / (2 * step)
             return out
 
         numeric = (
@@ -160,8 +158,9 @@ def test_objective_fixtures():
     y = SparseRatingMatrix.from_triples(1, 1, 2, [(0, 0, 1)])
     loaded = FactorModel(np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]]))
     flat = FactorModel(np.array([[0.0]]), np.array([[0.0]]), np.array([[0.0]]))
-    assert abs(objective(loaded, y, 0.1) - 1.6) <= 1e-12
-    assert abs(objective(flat, y, 0.1) - 0.5) <= 1e-12
+    loss = HingeLoss(y, 0.1)
+    assert abs(loss(loaded)[0] - 1.6) <= 1e-12
+    assert abs(loss(flat)[0] - 0.5) <= 1e-12
 
 
 # ----------------------------------------------------------------- criterion 3
@@ -275,9 +274,9 @@ def test_property_suite():
     filled = SparseRatingMatrix.from_triples(
         1, 500, 5, [(0, j, 1) for j in range(500)]
     )
-    confident = high_confidence_candidates(model, empty, 0.3)
+    confident = candidate_levels(model, empty, 0.3)
     _, fuzzy_items = low_confidence_observed(model, filled, 0.15)
-    assert set(confident.items).isdisjoint(fuzzy_items)
+    assert set(np.nonzero(confident)[1]).isdisjoint(fuzzy_items)
 
     # augmented triples rediscretize to their own rating; test set untouched
     truth = planted_model(40, 30, rank=2, seed=1)
@@ -292,7 +291,7 @@ def test_property_suite():
         for key in added:
             u, i = divmod(int(key), y_out.n_items)
             score = float(loop_model.user_factors[u] @ loop_model.item_factors[i])
-            assert discretize(loop_model, u, score) == dense[u, i]
+            assert discretize_rows(loop_model.thresholds[u:u + 1], [[score]])[0, 0] == dense[u, i]
         assert report.observed + report.unobserved == cells
 
     cfg = SelfTrainConfig(

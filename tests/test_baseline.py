@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stmmmf.baseline import (
+    BATCH_SIZE,
     BaselineConfig,
     BaselineModel,
     _loss,
@@ -74,8 +75,8 @@ def reference_baseline(y, cfg):
     prev = np.inf
     for _ in range(cfg.epochs):
         order = rng.permutation(y.n_observed)
-        for start in range(0, order.size, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+        for start in range(0, order.size, BATCH_SIZE):
+            batch = order[start : start + BATCH_SIZE]
             uu, ii = y.users[batch], y.items[batch]
             pu, qi = p[uu], q[ii]
             err = y.ratings[batch] - (mu + bu[uu] + bi[ii] + np.einsum("ij,ij->i", pu, qi))
@@ -101,13 +102,13 @@ def test_loss_blocks_match_unblocked_bits():
 
 
 @pytest.mark.parametrize("cfg, halves", [
-    (BaselineConfig(n_factors=7, epochs=12, lr=0.02, seed=2, batch_size=999), True),
-    (BaselineConfig(n_factors=4, epochs=3, seed=0, batch_size=1024), False),
+    (BaselineConfig(n_factors=7, epochs=12, lr=0.02, seed=2), True),
+    (BaselineConfig(n_factors=4, epochs=3, seed=0), False),
 ], ids=["lr-halving", "steady"])
 def test_train_matches_reference_bits(cfg, halves):
     # 40 users and 150 items: every batch repeats each user ~25 times
     y = random_matrix(40, 150, _LOSS_BLOCK + 1500, seed=8)
-    assert y.n_observed > _LOSS_BLOCK and y.n_observed % cfg.batch_size
+    assert y.n_observed > _LOSS_BLOCK and y.n_observed % BATCH_SIZE
     model = train_baseline(y, cfg)
     ref, final_lr = reference_baseline(y, cfg)
     assert (final_lr < cfg.lr) == halves
@@ -205,8 +206,7 @@ def test_empty_training_rejected():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("epochs", -3), ("lr", 0.0), ("reg", -1.0), ("n_factors", -1), ("batch_size", 0),
-    ("seed", -1),
+    ("epochs", -3), ("lr", 0.0), ("reg", -1.0), ("n_factors", -1), ("seed", -1),
 ])
 def test_config_rejects_untrainable(field, value):
     with pytest.raises(ValueError, match=field):

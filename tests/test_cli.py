@@ -353,9 +353,12 @@ def test_gridsearch_bad_grid_is_usage_error(toy_files, grid):
     ["selftrain", "{train}", "--seed", "-1"],
     ["gridsearch", "{train}", "--tau1-grid", "30", "--seed", "-1"],
     ["baseline-rounds", "{train}", "--test", "{train}", "--seed", "-1"],
+    ["split", "{train}", "--seed", "-1"],
+    ["ingest", "{train}", "--out", "{train}.ingested", "--min-ratings", "-1"],
 ], ids=["selftrain-dim", "split-frac", "gridsearch-runs", "gridsearch-grid",
         "baseline-epochs", "baseline-lr", "baseline-reg", "baseline-dim",
-        "selftrain-seed", "gridsearch-seed", "baseline-seed"])
+        "selftrain-seed", "gridsearch-seed", "baseline-seed", "split-seed",
+        "ingest-min-ratings"])
 def test_handler_usage_error_prints_command_usage(toy_files, capsys, argv):
     _, train_path, _ = toy_files
     with pytest.raises(SystemExit) as exc:  # raised before any output is written

@@ -10,7 +10,6 @@ from stmmmf.core import (
     SparseRatingMatrix,
     UnsupportedScaleError,
     avg_threshold_gaps,
-    discretize,
     discretize_rows,
     row_dots,
     smooth_hinge,
@@ -151,11 +150,11 @@ def test_t_indicator_single_flip():
 
 def test_discretize_examples():
     m = model_with_thresholds([[1.5, 2.5, 3.5, 4.5]])
-    assert discretize(m, 0, 3.0) == 3
-    assert discretize(m, 0, -10.0) == 1
+    assert discretize_rows(m.thresholds[[0]], [[3.0]])[0, 0] == 3
+    assert discretize_rows(m.thresholds[[0]], [[-10.0]])[0, 0] == 1
     # boundary goes to the lower interval
-    assert discretize(m, 0, 4.5) == 4
-    assert discretize(m, -1, 3.0) == 3  # user indices follow NumPy's rules
+    assert discretize_rows(m.thresholds[[0]], [[4.5]])[0, 0] == 4
+    assert discretize_rows(m.thresholds[[-1]], [[3.0]])[0, 0] == 3  # rows follow NumPy's rules
 
 
 def test_discretize_partitions_the_line():
@@ -167,16 +166,16 @@ def test_discretize_partitions_the_line():
     assert np.all((ratings >= 1) & (ratings <= 5))
     order = np.argsort(xs)
     assert np.all(np.diff(ratings[order]) >= 0)  # monotone in x
-    for x, r in zip(xs[:20], ratings[:20]):
-        assert discretize(m, 0, float(x)) == r
+    for j, r in enumerate(ratings[:20]):
+        assert discretize_rows(m.thresholds[0:1], xs[None, j:j + 1])[0, 0] == r
 
 
 def test_discretize_unsorted_row_scans_in_order():
     # (theta_1, theta_2] is empty when the row inverts; first match wins
     m = model_with_thresholds([[2.0, 1.0]])
-    assert discretize(m, 0, 1.5) == 1
-    assert discretize(m, 0, 5.0) == 3
-    assert discretize(m, 0, -1.0) == 1
+    assert discretize_rows(m.thresholds[0:1], [[1.5]])[0, 0] == 1
+    assert discretize_rows(m.thresholds[0:1], [[5.0]])[0, 0] == 3
+    assert discretize_rows(m.thresholds[0:1], [[-1.0]])[0, 0] == 1
     assert discretize_rows(m.thresholds, np.array([[1.5, 5.0, -1.0]])).tolist() == [[1, 3, 1]]
 
 
@@ -185,10 +184,9 @@ def test_discretize_rows_matches_scalar():
     theta = np.sort(rng.normal(0, 1.5, (6, 4)), axis=1)
     x = rng.uniform(-4, 4, (6, 10))
     block = discretize_rows(theta, x)
-    m = model_with_thresholds(theta)
     for i in range(6):
         for j in range(10):
-            assert block[i, j] == discretize(m, i, x[i, j])
+            assert block[i, j] == discretize_rows(theta[i:i + 1], x[i:i + 1, j:j + 1])[0, 0]
 
 
 # ------------------------------------------------------------------- gaps

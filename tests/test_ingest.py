@@ -17,9 +17,9 @@ from stmmmf.ingest import (
 )
 
 
-def raw(triples_with_stamps, source="test"):
+def raw(triples_with_stamps):
     u, i, r, t = (np.array(col) for col in zip(*triples_with_stamps))
-    return RawRatings(u, i, r, t, source)
+    return RawRatings(u, i, r, t)
 
 
 # -------------------------------------------------------------------- parsing

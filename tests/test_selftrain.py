@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stmmmf.core import (
-    SCORE_BLOCK, FactorModel, Hyperparams, SparseRatingMatrix, avg_threshold_gaps, discretize,
+    SCORE_BLOCK, FactorModel, Hyperparams, SparseRatingMatrix, avg_threshold_gaps, discretize_rows,
 )
 from stmmmf import selftrain
 from stmmmf.evaluation import MetricsSnapshot, split
@@ -15,7 +15,6 @@ from stmmmf.selftrain import (
     apply_augment,
     apply_refine,
     candidate_levels,
-    high_confidence_candidates,
     low_confidence_observed,
     overlap_stats,
     sample_augment,
@@ -39,6 +38,11 @@ def band_model(scores, observed_triples=(), n_users=1):
     return model, y
 
 
+def found_levels(grid):
+    """{(user, item): level} of a candidate grid's nonzero cells."""
+    return {(u, i): grid[u, i] for u, i in zip(*np.nonzero(grid))}
+
+
 def cands(triples, n_items=10, max_rating=5):
     if triples:
         u, i, r = (np.array(c) for c in zip(*triples))
@@ -51,9 +55,10 @@ def cands(triples, n_items=10, max_rating=5):
 
 def test_high_confidence_band_examples():
     model, y = band_model([2.5, 2.1, 0.0])
-    got = high_confidence_candidates(model, y, 0.25)
-    assert (got.n_users, got.n_items, got.max_rating) == (y.n_users, y.n_items, y.max_rating)
-    found = {(u, i): r for u, i, r in zip(got.users, got.items, got.ratings)}
+    grid = candidate_levels(model, y, 0.25)
+    assert grid.shape == (y.n_users, y.n_items)
+    assert grid.dtype == np.min_scalar_type(y.max_rating)
+    found = found_levels(grid)
     assert found[(0, 0)] == 3      # 2.25 < 2.5 < 2.75
     assert (0, 1) not in found     # 2.1 <= 2.25
     assert found[(0, 2)] == 1      # -inf < 0 < 0.75
@@ -61,14 +66,13 @@ def test_high_confidence_band_examples():
 
 def test_high_confidence_excludes_observed():
     model, y = band_model([2.5, 2.5], observed_triples=[(0, 0, 3)])
-    got = high_confidence_candidates(model, y, 0.25)
-    assert list(got.items) == [1]
+    grid = candidate_levels(model, y, 0.25)
+    assert list(np.nonzero(grid)[1]) == [1]
 
 
 def test_high_confidence_top_band_one_sided():
     model, y = band_model([4.2, 6.0])
-    got = high_confidence_candidates(model, y, 0.25)
-    found = {(u, i): r for u, i, r in zip(got.users, got.items, got.ratings)}
+    found = found_levels(candidate_levels(model, y, 0.25))
     assert (0, 0) not in found     # 4.2 <= 4 + 0.25
     assert found[(0, 1)] == 5      # 6.0 > 4.25, one-sided top band
 
@@ -103,7 +107,7 @@ def test_high_confidence_tau_validated():
     model, y = band_model([2.5])
     for tau in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(ValueError):
-            high_confidence_candidates(model, y, tau)
+            candidate_levels(model, y, tau)
 
 
 def test_candidates_self_consistent_with_discretize():
@@ -112,11 +116,11 @@ def test_candidates_self_consistent_with_discretize():
     y = planted_matrix(truth, observed_frac=0.4, seed=2)
     model = FactorModel(rng.normal(0, 0.8, (15, 3)), rng.normal(0, 0.8, (12, 3)),
                         np.sort(rng.normal(0, 1.5, (15, 4)), axis=1))
-    got = high_confidence_candidates(model, y, 0.2)
-    assert len(got) > 0
-    for u, i, r in zip(got.users, got.items, got.ratings):
+    found = found_levels(candidate_levels(model, y, 0.2))
+    assert len(found) > 0
+    for (u, i), r in found.items():
         score = float(model.user_factors[u] @ model.item_factors[i])
-        assert discretize(model, int(u), score) == r
+        assert discretize_rows(model.thresholds[u:u + 1], [[score]])[0, 0] == r
 
 
 # ----------------------------------------------------------- refinement bands
@@ -144,19 +148,19 @@ def test_bands_disjoint_when_gaps_uniform():
     scores = rng.uniform(-1, 6, 400)
     model, y_empty = band_model(scores)
     tau1, tau2 = 0.3, 0.15
-    hi = high_confidence_candidates(model, y_empty, tau1)
+    hi = candidate_levels(model, y_empty, tau1)
     all_cells = [(0, j, 1) for j in range(scores.size)]
     y_full = SparseRatingMatrix.from_triples(1, scores.size, 5, all_cells)
     lo_users, lo_items = low_confidence_observed(model, y_full, tau2)
-    assert set(hi.items).isdisjoint(set(lo_items))
+    assert set(np.nonzero(hi)[1]).isdisjoint(set(lo_items))
 
 
 def test_band_edges_follow_the_half_open_rule():
     # band 3 at tau 0.25 is (2.25, 2.75]: its right edge is a candidate, and
     # its left edge is held by no band, so an observed cell there is refined
     model, y_empty = band_model([2.75, 2.25])
-    got = high_confidence_candidates(model, y_empty, 0.25)
-    assert list(got.items) == [0] and list(got.ratings) == [3]
+    found = found_levels(candidate_levels(model, y_empty, 0.25))
+    assert list(found) == [(0, 0)] and list(found.values()) == [3]
     y_full = SparseRatingMatrix.from_triples(1, 2, 5, [(0, 0, 3), (0, 1, 3)])
     assert list(low_confidence_observed(model, y_full, 0.25)[1]) == [1]
 
@@ -214,8 +218,6 @@ def test_candidates_match_open_scan_reference(seed, sort_rows):
         grid = candidate_levels(model, y, tau)
         assert np.count_nonzero(grid) > 0
         np.testing.assert_array_equal(grid, open_scan_candidates(model, y, tau))
-        got = high_confidence_candidates(model, y, tau)
-        np.testing.assert_array_equal(got.to_dense(), grid)
 
 
 @pytest.mark.parametrize("sort_rows", [True, False], ids=["sorted", "unsorted"])
@@ -244,10 +246,10 @@ def test_bands_disjoint_on_any_rows():
     empty = SparseRatingMatrix.from_triples(n_users, n_items, 5, [])
     users, items = np.divmod(np.arange(n_users * n_items), n_items)
     full = SparseRatingMatrix(n_users, n_items, 5, users, items, np.ones_like(users))
-    confident = high_confidence_candidates(model, empty, 0.3)
+    confident = np.flatnonzero(candidate_levels(model, empty, 0.3))
     low_u, low_i = low_confidence_observed(model, full, 0.15)
     assert len(confident) > 0 and low_u.size > 0
-    assert np.intersect1d(confident.observed_keys(), low_u * n_items + low_i).size == 0
+    assert np.intersect1d(confident, low_u * n_items + low_i).size == 0
 
 
 # ------------------------------------------------------------ skew allocation
@@ -572,7 +574,7 @@ def test_loop_augmented_triples_rediscretize_to_their_rating():
         for key in added_keys:
             u, i = divmod(int(key), y_out.n_items)
             score = float(model.user_factors[u] @ model.item_factors[i])
-            assert discretize(model, u, score) == dense_out[u, i]
+            assert discretize_rows(model.thresholds[u:u + 1], [[score]])[0, 0] == dense_out[u, i]
         seen.append(len(added_keys))
 
     selftrain_loop(train_m, loop_config(max_rounds=3), test_m, callback=check)

@@ -123,8 +123,7 @@ def random_raw(seed, duplicates):
     item_pool = rng.choice(10**4, size=40, replace=False)
     cells = rng.choice(25 * 40, size=400, replace=duplicates)
     users, items = user_pool[cells // 40], item_pool[cells % 40]
-    return RawRatings(users, items, rng.integers(1, 6, size=400),
-                      rng.integers(0, 5, size=400), "random")
+    return RawRatings(users, items, rng.integers(1, 6, size=400), rng.integers(0, 5, size=400))
 
 
 @pytest.mark.parametrize("duplicates", [False, True])

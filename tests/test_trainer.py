@@ -18,11 +18,9 @@ from stmmmf.trainer import (
     HingeLoss,
     TrainingDivergedError,
     complete_matrix,
-    compute_gradients,
     gd_step,
     initial_model,
     load_checkpoint,
-    objective,
     predict_ratings,
     save_checkpoint,
     train,
@@ -90,10 +88,9 @@ class RowMajorHingeLoss(HingeLoss):
     threshold gradient from one multi-vector product."""
 
     def __init__(self, y, reg):
-        self.y, self.reg = y, reg
+        super().__init__(y, reg)  # keeps the CSR matrices and per-user counts
         levels = np.arange(1, y.max_rating)
         self._t = np.where(levels >= y.ratings[:, None], 1.0, -1.0)
-        self._counts = y.user_counts()
         self._c = np.empty_like(self._t)
         self._h = np.empty_like(self._t)
 
@@ -122,11 +119,12 @@ class RowMajorHingeLoss(HingeLoss):
 
 def fd_gradients(model, y, reg, h=1e-5):
     u, v, theta = model.user_factors, model.item_factors, model.thresholds
+    loss = HingeLoss(y, reg)
 
     def fd(block, idx, rebuild):
         plus = block.copy(); plus[idx] += h
         minus = block.copy(); minus[idx] -= h
-        return (objective(rebuild(plus), y, reg) - objective(rebuild(minus), y, reg)) / (2 * h)
+        return (loss(rebuild(plus))[0] - loss(rebuild(minus))[0]) / (2 * h)
 
     gu = np.array([[fd(u, (i, p), lambda b: FactorModel(b, v, theta))
                     for p in range(u.shape[1])] for i in range(u.shape[0])])
@@ -140,23 +138,24 @@ def fd_gradients(model, y, reg, h=1e-5):
 # ------------------------------------------------------------------ objective
 
 def test_objective_hand_computed():
-    assert objective(tiny_model(1, 1, 0), ONE_CELL, 0.1) == pytest.approx(1.6, abs=1e-12)
-    assert objective(tiny_model(0, 0, 0), ONE_CELL, 0.1) == pytest.approx(0.5, abs=1e-12)
+    loss = HingeLoss(ONE_CELL, 0.1)
+    assert loss(tiny_model(1, 1, 0))[0] == pytest.approx(1.6, abs=1e-12)
+    assert loss(tiny_model(0, 0, 0))[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_objective_empty_matrix():
     empty = SparseRatingMatrix.from_triples(1, 1, 2, [])
-    assert objective(tiny_model(0, 0, 0), empty, 0.5) == 0.0
+    assert HingeLoss(empty, 0.5)(tiny_model(0, 0, 0))[0] == 0.0
 
 
 def test_objective_nonnegative_and_shape_checked():
     rng = np.random.default_rng(0)
     for _ in range(20):
         model, y = random_instance(rng)
-        assert objective(model, y, 0.3) >= 0.0
+        assert HingeLoss(y, 0.3)(model)[0] >= 0.0
     bad = SparseRatingMatrix.from_triples(2, 1, 2, [(0, 0, 1)])
     with pytest.raises(ValueError):
-        objective(tiny_model(0, 0, 0), bad, 0.3)
+        HingeLoss(bad, 0.3)(tiny_model(0, 0, 0))
 
 
 def test_objective_rotation_invariant():
@@ -166,15 +165,16 @@ def test_objective_rotation_invariant():
     q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     rotated = FactorModel(model.user_factors @ q, model.item_factors @ q,
                           model.thresholds)
-    a = objective(model, y, 0.7)
-    b = objective(rotated, y, 0.7)
+    loss = HingeLoss(y, 0.7)
+    a = loss(model)[0]
+    b = loss(rotated)[0]
     assert abs(a - b) < 1e-8 * max(1.0, abs(a))
 
 
 # ------------------------------------------------------------------ gradients
 
 def test_gradients_hand_computed():
-    gu, gv, gt = compute_gradients(tiny_model(0, 0, 0), ONE_CELL, 0.0)
+    gu, gv, gt = HingeLoss(ONE_CELL, 0.0)(tiny_model(0, 0, 0))[1]
     assert gt[0, 0] == -1.0
     assert gu[0, 0] == 0.0 and gv[0, 0] == 0.0
 
@@ -183,7 +183,7 @@ def test_gradients_zero_in_flat_region():
     # score 5 with threshold 10 and y=1: z = 10 - 5 = 5 >= 1 everywhere
     model = tiny_model(1, 5, 10)
     y = SparseRatingMatrix.from_triples(1, 1, 2, [(0, 0, 1)])
-    gu, gv, gt = compute_gradients(model, y, 0.0)
+    gu, gv, gt = HingeLoss(y, 0.0)(model)[1]
     assert gu[0, 0] == 0.0 and gv[0, 0] == 0.0 and gt[0, 0] == 0.0
 
 
@@ -192,7 +192,7 @@ def test_gradients_match_finite_differences():
     for _ in range(25):
         model, y = random_instance(rng)
         reg = float(rng.uniform(0, 2))
-        analytic = compute_gradients(model, y, reg)
+        analytic = HingeLoss(y, reg)(model)[1]
         numeric = fd_gradients(model, y, reg)
         for a, f in zip(analytic, numeric):
             err = np.abs(a - f) / np.maximum.reduce([np.abs(a), np.abs(f), np.ones_like(a)])
@@ -202,7 +202,7 @@ def test_gradients_match_finite_differences():
 def test_gradients_unrated_rows_only_regularized():
     y = SparseRatingMatrix.from_triples(2, 2, 3, [(0, 0, 2)])
     model = FactorModel(np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2)))
-    gu, gv, gt = compute_gradients(model, y, 0.5)
+    gu, gv, gt = HingeLoss(y, 0.5)(model)[1]
     np.testing.assert_allclose(gu[1], 0.5 * model.user_factors[1])
     np.testing.assert_allclose(gv[1], 0.5 * model.item_factors[1])
     np.testing.assert_allclose(gt[1], 0.0)
@@ -250,7 +250,7 @@ def test_hinge_loss_object_matches_loop_on_every_call():
             value, grads = loss(model)
             ref_value, ref_grads = loop_loss_and_grad(model, y, reg)
             assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
-            assert loss.value(model) == value
+            assert loss(model)[0] == value
             for g, ref in zip(grads, ref_grads):
                 assert g.tobytes() == ref.tobytes()
 
@@ -268,8 +268,7 @@ def test_hinge_loss_call_holds_no_full_gather():
                            rng.integers(1, 3, n))
     model = FactorModel(rng.normal(0, 0.3, (n_users, k)), rng.normal(0, 0.3, (n_items, k)),
                         np.zeros((n_users, 1)))
-    loss = HingeLoss(y, 1.0)
-    loss(model)  # builds the CSR matrices the matrix fixes
+    loss = HingeLoss(y, 1.0)  # builds the CSR matrices the matrix fixes
     tracemalloc.start()
     try:
         value, grads = loss(model)
@@ -312,9 +311,10 @@ def test_small_step_decreases_objective():
     rng = np.random.default_rng(3)
     model, y = random_instance(rng)
     reg = 0.4
-    before = objective(model, y, reg)
-    stepped = gd_step(model, compute_gradients(model, y, reg), 1e-4)
-    assert objective(stepped, y, reg) < before
+    loss = HingeLoss(y, reg)
+    before, grads = loss(model)
+    stepped = gd_step(model, grads, 1e-4)
+    assert loss(stepped)[0] < before
 
 
 # -------------------------------------------------------------------- training
