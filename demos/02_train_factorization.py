@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Fit the margin factorization on a planted low-rank rating matrix and
-watch the objective fall; finish with a completed matrix."""
+watch the objective fall; finish with the predicted ratings of a corner
+of the matrix."""
 
 import numpy as np
 
-from stmmmf import Hyperparams, complete_matrix, predict_ratings, train
+from stmmmf import Hyperparams, predict_ratings, train
 from stmmmf.synthetic import planted_matrix, planted_model
 
 truth = planted_model(n_users=30, n_items=25, rank=2, seed=7)
@@ -24,6 +25,6 @@ print("threshold-order violations seen:", trace.order_violations)
 preds = predict_ratings(model, y.users, y.items)
 print(f"\ntrain MAE after fitting: {np.abs(preds - y.ratings).mean():.4f}")
 
-done = complete_matrix(model, y)
-print("completed matrix corner (observed entries kept verbatim):")
-print(done[:5, :8])
+users, items = np.divmod(np.arange(5 * 8), 8)
+print("predicted ratings, corner of the matrix (users 0-4, items 0-7):")
+print(predict_ratings(model, users, items).reshape(5, 8))

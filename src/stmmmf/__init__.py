@@ -13,7 +13,6 @@ from .core import (
 from .trainer import (
     TrainingDivergedError,
     TrainTrace,
-    complete_matrix,
     gd_step,
     load_checkpoint,
     predict_ratings,
@@ -34,13 +33,10 @@ from .selftrain import (
     skew_allocation,
 )
 from .evaluation import (
-    ConfusionMatrix,
     MetricsSnapshot,
     confusion,
     hr_at_k,
     hr_table,
-    mae,
-    rmse,
     split,
 )
 from .ingest import (

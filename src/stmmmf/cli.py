@@ -138,7 +138,7 @@ def cmd_evaluate(args, parser) -> int:
     cm = confusion(pairs.astype(np.int64), test.max_rating)
     print("confusion (rows: actual, columns: predicted 1..R)")
     for actual in range(1, test.max_rating + 1):
-        row = " ".join(str(v) for v in cm.counts[actual - 1])
+        row = " ".join(str(v) for v in cm[actual - 1])
         print(f"actual {actual}: {row}")
     print("HR@K (columns: K = 0..R-1, * where not applicable)")
     for actual, row in enumerate(hr_table(cm), start=1):
@@ -244,6 +244,9 @@ def cmd_baseline_rounds(args, parser) -> int:
             f"no round_*.stmat snapshots in {snap_dir}; "
             "run `stmmmf selftrain --snapshot-every 1` first"
         )
+    for (a, first), (b, second) in zip(numbered, numbered[1:]):
+        if a == b:
+            return _fail(f"snapshots {first} and {second} are both round {a}")
     test = load_matrix(args.test)
     matrices = [strip_overlap(load_matrix(f), test) for _, f in numbered]
     snapshots = rounds_experiment(matrices, test, cfg)
@@ -266,14 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     # The input and loop flags selftrain and gridsearch share.
     loop = argparse.ArgumentParser(add_help=False)
     loop.add_argument("input")
-    loop.add_argument("--dim", type=int, default=10)
-    loop.add_argument("--lr", type=float, default=0.002)
-    loop.add_argument("--gd-iters", type=int, default=150)
-    loop.add_argument("--tol", type=float, default=1e-5)
-    loop.add_argument("--tau2", type=float, default=10.0,
+    loop.add_argument("--dim", type=int, default=SelfTrainConfig.n_factors)
+    loop.add_argument("--lr", type=float, default=SelfTrainConfig.lr)
+    loop.add_argument("--gd-iters", type=int, default=SelfTrainConfig.gd_iters)
+    loop.add_argument("--tol", type=float, default=SelfTrainConfig.tol)
+    loop.add_argument("--tau2", type=float, default=SelfTrainConfig.tau_refine * 100.0,
                       help="refinement band half-width, percent of the average gap")
-    loop.add_argument("--cap", type=int, default=5000)
-    loop.add_argument("--seed", type=int, default=0)
+    loop.add_argument("--cap", type=int, default=SelfTrainConfig.cap)
+    loop.add_argument("--seed", type=int, default=SelfTrainConfig.seed)
 
     p = sub.add_parser("ingest", help="parse a rating file into an STMAT matrix")
     p.add_argument("input")
@@ -292,12 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftrain", parents=[loop], help="run the augment-and-refine loop")
     p.add_argument("--test", default=None)
-    p.add_argument("--lambda", dest="reg", type=float, default=15.0)
-    p.add_argument("--tau1", type=float, default=49.99,
+    p.add_argument("--lambda", dest="reg", type=float, default=SelfTrainConfig.reg)
+    p.add_argument("--tau1", type=float, default=SelfTrainConfig.tau_augment * 100.0,
                    help="augmentation band shift, percent of the average gap")
-    p.add_argument("--sample-pct", type=float, default=100.0)
-    p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--patience", type=int, default=5)
+    p.add_argument("--sample-pct", type=float, default=SelfTrainConfig.sample_pct)
+    p.add_argument("--iters", type=int, default=SelfTrainConfig.max_rounds)
+    p.add_argument("--patience", type=int, default=SelfTrainConfig.patience)
     p.add_argument("--out-dir", default=str(out_dir))
     p.add_argument("--snapshot-every", type=int, default=0)
     p.set_defaults(func=cmd_selftrain, parser=p)
@@ -326,11 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retrain the biased-MF baseline on saved snapshots")
     p.add_argument("snapshots", help="directory of round_*.stmat files")
     p.add_argument("--test", required=True)
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--reg", type=float, default=0.02)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=int, default=BaselineConfig.n_factors)
+    p.add_argument("--reg", type=float, default=BaselineConfig.reg)
+    p.add_argument("--epochs", type=int, default=BaselineConfig.epochs)
+    p.add_argument("--lr", type=float, default=BaselineConfig.lr)
+    p.add_argument("--seed", type=int, default=BaselineConfig.seed)
     p.add_argument("--out", default=str(out_dir / "baseline_rounds.csv"))
     p.set_defaults(func=cmd_baseline_rounds, parser=p)
 

@@ -3,7 +3,7 @@
 Evaluates the regularized hinge objective together with its exact
 gradients for the user factors, item factors, and thresholds in one pass
 over every (entry, threshold) term, and runs a monotone descent loop with
-backtracking step control.  Also provides full-matrix completion and the
+backtracking step control.  Also provides rating prediction and the
 textual checkpoint format.
 
 A solve builds one HingeLoss from the training matrix and the
@@ -208,17 +208,6 @@ def train(y: SparseRatingMatrix, params: Hyperparams, n_factors: int):
             lr = params.lr
     trace = TrainTrace(np.array(objectives), accepted, converged, violations, kernel_calls)
     return model, trace
-
-
-def complete_matrix(model: FactorModel, y: SparseRatingMatrix) -> np.ndarray:
-    """Dense completion: observed cells keep their rating, the rest are
-    filled with discretized scores."""
-    model.check_matches(y)
-    out = np.empty((model.n_users, model.n_items), dtype=np.int64)
-    for rows, scores in model.score_blocks():
-        out[rows] = discretize_rows(model.thresholds[rows], scores)
-    out[y.users, y.items] = y.ratings
-    return out
 
 
 def predict_ratings(model: FactorModel, users, items, trained_on=None) -> np.ndarray:

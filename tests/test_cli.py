@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from stmmmf import cli
+from stmmmf.baseline import BaselineConfig
 from stmmmf.cli import DEFAULT_LAMBDA_GRID, DEFAULT_TAU1_GRID, main
 from stmmmf.core import FactorModel, SparseRatingMatrix
 from stmmmf.evaluation import split
 from stmmmf.ingest import load_matrix, save_matrix
+from stmmmf.selftrain import SelfTrainConfig, SelfTrainResult
 from stmmmf.synthetic import planted_matrix, planted_model
 from stmmmf.trainer import save_checkpoint
 
@@ -233,6 +235,48 @@ def test_selftrain_malformed_matrix_is_an_error_line(toy_files, capsys):
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_selftrain_diverged_solve_exits_1_and_keeps_round_1(toy_files, capsys, monkeypatch):
+    tmp_path, train_path, test_path = toy_files
+    args = selftrain_args(tmp_path, train_path, test_path)
+    one_round = args[:-1] + [tmp_path / "one"]
+    one_round[one_round.index("--iters") + 1] = "1"
+    assert run(one_round) == 0
+    from test_selftrain import diverge_on_second_call
+
+    diverge_on_second_call(monkeypatch)
+    capsys.readouterr()
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: inner solver diverged; partial reports kept"]
+    assert "stopped after 1 rounds (diverged)" in captured.out
+    run_dir = tmp_path / "run"
+    assert len((run_dir / "reports.jsonl").read_text().splitlines()) == 1
+    # the checkpoint is round 1's model
+    assert (run_dir / "model.stmmmf").read_bytes() == (tmp_path / "one" / "model.stmmmf").read_bytes()
+
+
+def test_flag_defaults_are_the_config_defaults(toy_files, monkeypatch):
+    tmp_path, train_path, test_path = toy_files
+    seen = []
+
+    def loop(y, cfg, test=None, callback=None):
+        seen.append(cfg)
+        return SelfTrainResult(model=None, reports=[], stop_reason="max_rounds")
+
+    def rounds(matrices, test, cfg):
+        seen.append(cfg)
+        return []
+
+    monkeypatch.setattr(cli, "selftrain_loop", loop)
+    monkeypatch.setattr(cli, "rounds_experiment", rounds)
+    assert run(["selftrain", train_path, "--out-dir", tmp_path / "run"]) == 0
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    save_matrix(load_matrix(train_path), snaps / "round_000.stmat")
+    assert run(["baseline-rounds", snaps, "--test", test_path, "--out", tmp_path / "b.csv"]) == 0
+    assert seen == [SelfTrainConfig(), BaselineConfig()]
+
+
 # ------------------------------------------------------------------- evaluate
 
 def test_evaluate_perfect_predictions(tmp_path, capsys):
@@ -339,6 +383,18 @@ def test_gridsearch_bad_grid_is_usage_error(toy_files, grid):
     with pytest.raises(SystemExit):
         run(grid_args(train_path, out, *grid))
     assert not out.exists()  # rejected before any cell runs
+
+
+def test_gridsearch_empty_carve_out_keeps_the_header(tmp_path, capsys):
+    tiny, out = tmp_path / "tiny.stmat", tmp_path / "grid.csv"
+    save_matrix(SparseRatingMatrix.from_triples(3, 3, 5, [(0, 0, 3), (1, 1, 4)]), tiny)
+    assert run(grid_args(tiny, out, "--lambda-grid", "0.2", "--tau1-grid", "30",
+                         "--s-grid", "100")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: grid search aborted: validation carve-out is empty; "
+        f"matrix too small for val-frac; partial CSV kept at {out}"
+    ]
+    assert out.read_text() == "lambda,tau1,s,mae,rmse\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -523,6 +579,23 @@ def test_baseline_rounds_orders_snapshots_by_round_number(toy_files, capsys):
                 "--epochs", "1", "--out", out]) == 0
     rounds = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
     assert rounds == ["2", "10", "101", "1000"]
+
+
+def test_baseline_rounds_two_files_for_one_round_is_an_error_line(toy_files, capsys, monkeypatch):
+    tmp_path, train_path, test_path = toy_files
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    for name in ("round_1", "round_001"):
+        save_matrix(load_matrix(train_path), snaps / f"{name}.stmat")
+    monkeypatch.setattr(cli, "rounds_experiment", None)  # no training may start
+    out = tmp_path / "b.csv"
+    assert run(["baseline-rounds", snaps, "--test", test_path, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "round_1.stmat" in err[0] and "round_001.stmat" in err[0]
+    assert not out.exists()
 
 
 def test_baseline_rounds_non_numeric_snapshot_is_an_error_line(toy_files, capsys):

@@ -8,7 +8,7 @@ import pytest
 import stmmmf
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
-# The pipeline demos run at benchmark scale (about 8 s and 75 s).
+# The pipeline demos run at benchmark scale (about 4 s and 30 s on 2 cores).
 SLOW = {"04_full_pipeline.py", "05_baseline_transfer.py"}
 
 

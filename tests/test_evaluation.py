@@ -2,16 +2,7 @@ import numpy as np
 import pytest
 
 from stmmmf.core import SparseRatingMatrix
-from stmmmf.evaluation import (
-    ConfusionMatrix,
-    confusion,
-    hr_at_k,
-    hr_table,
-    mae,
-    rmse,
-    snapshot,
-    split,
-)
+from stmmmf.evaluation import confusion, hr_at_k, hr_table, snapshot, split
 
 # Published 1..5-scale confusion blocks used as fixed oracles for the
 # hit-rate computation; None marks the inapplicable-distance cells.
@@ -33,7 +24,7 @@ ROW_ACTUAL_1, ROW_HR_1 = PUBLISHED_TRAIN_BLOCK[1]
 
 
 def cm_from_rows(rows):
-    return ConfusionMatrix(np.array(rows, dtype=np.int64), len(rows))
+    return np.array(rows, dtype=np.int64)
 
 
 def cm_from_block(block):
@@ -43,22 +34,20 @@ def cm_from_block(block):
 # -------------------------------------------------------------------- metrics
 
 def test_mae_cases():
-    assert mae([(1, 1), (4, 2)]) == 1.0
-    assert mae([(3, 3), (5, 5)]) == 0.0
-    assert mae([(1, 5)]) == 4.0
+    assert snapshot([(1, 1), (4, 2)]).mae == 1.0
+    assert snapshot([(3, 3), (5, 5)]).mae == 0.0
+    assert snapshot([(1, 5)]).mae == 4.0
 
 
 def test_rmse_cases():
-    assert rmse([(1, 1), (4, 2)]) == pytest.approx(np.sqrt(2.0))
-    assert rmse([(2, 2)]) == 0.0
-    assert rmse([(1, 3), (5, 3), (4, 2), (2, 4)]) == 2.0  # constant |error| = 2
+    assert snapshot([(1, 1), (4, 2)]).rmse == pytest.approx(np.sqrt(2.0))
+    assert snapshot([(2, 2)]).rmse == 0.0
+    assert snapshot([(1, 3), (5, 3), (4, 2), (2, 4)]).rmse == 2.0  # constant |error| = 2
 
 
 def test_metrics_reject_empty():
     with pytest.raises(ValueError):
-        mae([])
-    with pytest.raises(ValueError):
-        rmse([])
+        snapshot([])
 
 
 def test_mae_le_rmse_random_pairs():
@@ -66,33 +55,34 @@ def test_mae_le_rmse_random_pairs():
     for _ in range(50):
         n = rng.integers(1, 40)
         pairs = rng.integers(1, 6, size=(n, 2))
-        assert mae(pairs) <= rmse(pairs) + 1e-12
+        snap = snapshot(pairs)
+        assert snap.mae <= snap.rmse + 1e-12
 
 
 def test_mae_equals_rmse_iff_constant_error():
     pairs = [(1, 2), (3, 4), (5, 4)]  # all |err| = 1
-    assert mae(pairs) == pytest.approx(rmse(pairs))
     snap = snapshot(pairs)
-    assert snap.n == 3 and snap.mae == pytest.approx(1.0)
+    assert snap.mae == pytest.approx(snap.rmse)
+    assert snap.mae == pytest.approx(1.0)
 
 
 # ------------------------------------------------------------------ confusion
 
 def test_confusion_counting():
     cm = confusion([(1, 2), (1, 2), (3, 3)], 5)
-    assert cm.count(1, 2) == 2
-    assert cm.count(3, 3) == 1
-    assert cm.total == 3
-    assert cm.row_total(1) == 2
+    assert cm[0, 1] == 2
+    assert cm[2, 2] == 1
+    assert cm.sum() == 3
+    assert cm[0].sum() == 2
 
 
 def test_confusion_empty_and_row_sums():
-    assert confusion([], 5).total == 0
+    assert confusion([], 5).sum() == 0
     rng = np.random.default_rng(1)
     pairs = rng.integers(1, 6, size=(200, 2))
     cm = confusion(pairs, 5)
     for a in range(1, 6):
-        assert cm.row_total(a) == int(np.sum(pairs[:, 0] == a))
+        assert cm[a - 1].sum() == int(np.sum(pairs[:, 0] == a))
 
 
 def test_confusion_rejects_out_of_scale():
@@ -124,8 +114,7 @@ def test_hr_reproduces_published_blocks(block):
 
 
 def test_hr_not_applicable_cells():
-    rows = np.ones((5, 5), dtype=np.int64)
-    cm = ConfusionMatrix(rows, 5)
+    cm = np.ones((5, 5), dtype=np.int64)
     # exactly the star pattern of a 1..5 scale
     expected_na = {(2, 4), (3, 3), (3, 4), (4, 4)}
     for actual in range(1, 6):

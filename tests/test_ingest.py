@@ -87,6 +87,21 @@ def test_parse_error_counts_lines_from_the_stream_position():
     assert err.value.line_no == 2
 
 
+class Pipe(io.StringIO):
+    """A text stream that cannot seek, like a pipe."""
+
+    def seekable(self):
+        return False
+
+
+def test_parse_error_on_a_stream_that_cannot_seek_has_no_line_number():
+    assert len(parse_ml100k(Pipe("1\t2\t3\t4\n"))) == 1
+    with pytest.raises(ValueError) as err:
+        parse_ml100k(Pipe("1\t2\t3\t4\n1\tx\t3\t4\n"))
+    assert not isinstance(err.value, ParseError)
+    assert not str(err.value).startswith("line ")
+
+
 def test_parse_strips_fields_as_before():
     got = parse_ml1m(io.StringIO(" 7 ::8\t::5:: 9\n"))
     assert (got.user_ids[0], got.item_ids[0], got.ratings[0], got.timestamps[0]) == (7, 8, 5, 9)

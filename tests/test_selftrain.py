@@ -22,7 +22,7 @@ from stmmmf.selftrain import (
     skew_allocation,
 )
 from stmmmf.synthetic import planted_matrix, planted_model
-from stmmmf.trainer import train
+from stmmmf.trainer import TrainingDivergedError, train
 
 UNIT_THETA = [1.0, 2.0, 3.0, 4.0]  # average gap exactly 1
 
@@ -618,7 +618,7 @@ def test_loop_stops_after_patience_worse_rounds(monkeypatch):
     maes = iter([0.9, 0.5, 0.6, 0.55, 0.7, 0.8, 0.9, 1.0])
 
     def rising_snapshot(pairs):
-        return MetricsSnapshot(mae=next(maes), rmse=1.0, n=len(pairs))
+        return MetricsSnapshot(mae=next(maes), rmse=1.0)
 
     monkeypatch.setattr(selftrain, "snapshot", rising_snapshot)
     models = []
@@ -627,6 +627,31 @@ def test_loop_stops_after_patience_worse_rounds(monkeypatch):
     assert result.stop_reason == "test_mae_degrading"
     assert [r.test_mae for r in result.reports] == [0.9, 0.5, 0.6, 0.55, 0.7, 0.8, 0.9]
     assert result.model is models[-1]
+
+
+def diverge_on_second_call(monkeypatch):
+    """Make the loop's solver raise TrainingDivergedError from its second call."""
+    calls = []
+
+    def solve(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise TrainingDivergedError("non-finite gradient entries")
+        return train(*args)
+
+    monkeypatch.setattr(selftrain, "train", solve)
+    return calls
+
+
+def test_loop_stops_when_the_solver_diverges(monkeypatch):
+    train_m, test_m = small_problem()
+    calls = diverge_on_second_call(monkeypatch)
+    models = []
+    result = selftrain_loop(train_m, loop_config(), test_m,
+                            callback=lambda report, model, y_in, y_out: models.append(model))
+    assert result.stop_reason == "diverged"
+    assert len(calls) == 2 and len(result.reports) == 1
+    assert result.model is models[0]
 
 
 def test_loop_without_test_matrix():

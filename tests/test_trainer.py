@@ -17,7 +17,6 @@ from stmmmf.synthetic import planted_matrix, planted_model
 from stmmmf.trainer import (
     HingeLoss,
     TrainingDivergedError,
-    complete_matrix,
     gd_step,
     initial_model,
     load_checkpoint,
@@ -402,34 +401,24 @@ def test_train_monotone_objective_and_determinism():
     np.testing.assert_array_equal(m1.thresholds, m2.thresholds)
 
 
+def test_train_stops_once_the_relative_drop_falls_below_tol():
+    y = planted_matrix(planted_model(20, 15, rank=2, seed=1), 0.5, seed=2)
+    params = Hyperparams(reg=0.1, lr=0.05, max_iters=500, tol=1e-3, seed=3)
+    _, trace = train(y, params, 2)
+    obj = trace.objectives
+    drops = (obj[:-1] - obj[1:]) / np.maximum(obj[:-1], 1.0)
+    assert trace.converged and trace.iterations == 249
+    # the last accepted step is the first whose drop is below tol
+    assert drops[-1] < params.tol <= drops[:-1].min()
+
+
 def test_initial_thresholds_centered():
     y = SparseRatingMatrix.from_triples(2, 2, 5, [(0, 0, 3)])
     start = initial_model(y, 2, 0)
     np.testing.assert_allclose(start.thresholds[0], [-1.5, -0.5, 0.5, 1.5])
 
 
-# ------------------------------------------------------------------ completion
-
-def test_complete_matrix_keeps_observed():
-    y = SparseRatingMatrix.from_triples(1, 2, 5, [(0, 0, 4)])
-    model = FactorModel(np.array([[10.0]]), np.array([[1.0], [0.3]]),
-                        np.array([[1.5, 2.5, 3.5, 4.5]]))
-    done = complete_matrix(model, y)
-    assert done[0, 0] == 4  # observed rating wins regardless of score
-    assert done[0, 1] == 3  # score 3.0 lands in (2.5, 3.5]
-
-
-def test_complete_matrix_zero_model():
-    # score 0 against thresholds [-1, 0, 1, 2] lies in (-1, 0] -> rating 2
-    y = SparseRatingMatrix.from_triples(2, 3, 5, [(0, 0, 5)])
-    model = FactorModel(np.zeros((2, 2)), np.zeros((3, 2)),
-                        np.tile([-1.0, 0.0, 1.0, 2.0], (2, 1)))
-    done = complete_matrix(model, y)
-    assert done[0, 0] == 5
-    unobserved = done.copy()
-    unobserved[0, 0] = 2
-    assert np.all(unobserved == 2)
-
+# ------------------------------------------------------------------ prediction
 
 def test_predict_ratings_cold_user_fallback():
     y = SparseRatingMatrix.from_triples(2, 2, 5, [(0, 0, 1), (0, 1, 2)])
