@@ -129,9 +129,10 @@ def strip_overlap(y: SparseRatingMatrix, test: SparseRatingMatrix) -> SparseRati
 def rounds_experiment(matrices, test: SparseRatingMatrix, cfg: BaselineConfig):
     """Retrain from scratch on each matrix and score the fixed test set.
 
-    Returns one MetricsSnapshot per round, in order.  Matrices must share
-    the test set's grid and not overlap it; see strip_overlap for
-    sanitizing snapshots.
+    Returns one MetricsSnapshot per round, in order.  `matrices` is any
+    iterable and is read once, so a generator that loads each matrix when
+    asked keeps only one in memory.  Matrices must share the test set's
+    grid and not overlap it; see strip_overlap for sanitizing snapshots.
     """
     out: list[MetricsSnapshot] = []
     for y in matrices:

@@ -200,7 +200,9 @@ def cmd_gridsearch(args, parser) -> int:
     y = load_matrix(args.input)
     payloads = [(cfg, args.runs, args.val_frac) for cfg in configs]
     best = None
-    workers = min(args.workers, os.cpu_count() or 1)
+    # the CPUs this process may run on, where the platform reports its affinity
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(args.workers, cpus or 1)
     with open(args.out, "w", newline="") as out, ExitStack() as stack:
         out.write("lambda,tau1,s,mae,rmse\n")
         try:
@@ -248,7 +250,8 @@ def cmd_baseline_rounds(args, parser) -> int:
         if a == b:
             return _fail(f"snapshots {first} and {second} are both round {a}")
     test = load_matrix(args.test)
-    matrices = [strip_overlap(load_matrix(f), test) for _, f in numbered]
+    # one snapshot in memory at a time: rounds_experiment iterates once
+    matrices = (strip_overlap(load_matrix(f), test) for _, f in numbered)
     snapshots = rounds_experiment(matrices, test, cfg)
     with open_text(args.out, "w") as out:
         out.write("round,mae,rmse\n")

@@ -20,6 +20,10 @@ from .core import SparseRatingMatrix
 
 MATRIX_MAGIC = "STMAT"
 
+# Rows per block of the text _format_rows builds: each block's values live
+# as Python objects while it is formatted, so the block bounds that memory.
+FORMAT_BLOCK = 4096
+
 
 class ParseError(ValueError):
     """A malformed rating-file line; carries its 1-based line number in the stream."""
@@ -31,7 +35,8 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class RawRatings:
-    """Rating triples with their external ids, before compaction."""
+    """Rating triples with their external ids, before compaction.  A parsed
+    file's four arrays are column views of the one table the reader built."""
 
     user_ids: np.ndarray
     item_ids: np.ndarray
@@ -105,11 +110,13 @@ def _read_table(lines, n_cols: int, dtype, delimiter=None, n_rows=None) -> np.nd
     return table
 
 
-def _format_rows(table: np.ndarray, fmt: str, sep: str = " ", block_rows: int = 16384):
-    """Yield a table's rows as lines of fmt values joined by sep, one template per block."""
-    row = sep.join([fmt] * table.shape[1]) + "\n"
-    for start in range(0, len(table), block_rows):
-        block = table[start:start + block_rows]
+def _format_rows(columns, fmt: str, sep: str = " "):
+    """Yield the rows of equal-length columns as lines of fmt values joined
+    by sep, one template per block of FORMAT_BLOCK rows; a 2-D table `t` is
+    passed as `t.T`.  No row-major copy of the whole table is built."""
+    row = sep.join([fmt] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), FORMAT_BLOCK):
+        block = np.column_stack([c[start:start + FORMAT_BLOCK] for c in columns])
         yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
@@ -141,7 +148,7 @@ def _parse_delimited(source, delimiter: str, max_rating: int = 5) -> RawRatings:
                 except ValueError as exc:
                     raise ParseError(line_no, str(exc)) from None
             raise
-    return RawRatings(*table.T.copy())
+    return RawRatings(*table.T)
 
 
 def parse_ml100k(source) -> RawRatings:
@@ -186,10 +193,13 @@ def preprocess(raw: RawRatings, min_ratings: int = 20, max_rating: int = 5) -> P
         return PreprocessResult(ranked.matrix, user_ids[ranked.user_ids],
                                 item_ids[ranked.item_ids], ranked.n_duplicates)
     # With non-negative ids that fit the key, key order is (user, item) order.
+    # Each whole-input temporary is dropped once used: together they are
+    # several times the size of the result.
     key = raw.user_ids * (max_item + 1) + raw.item_ids
     order = np.argsort(key, kind="stable")
     key_sorted = key[order]
     last = np.r_[key_sorted[1:] != key_sorted[:-1], True]
+    del key_sorted
     if not last.all():
         # A duplicate key: two stable passes order entries by key, then
         # timestamp, then file order, so each key's last entry is the one
@@ -197,22 +207,27 @@ def preprocess(raw: RawRatings, min_ratings: int = 20, max_rating: int = 5) -> P
         # still marks each key's last entry.
         order = np.argsort(raw.timestamps, kind="stable")
         order = order[np.argsort(key[order], kind="stable")]
+    del key
     keep = order[last]
+    del order, last
     n_duplicates = len(raw) - keep.size
 
     # The kept entries are in key order, so each user's entries form one
     # run: filter and compact users on the run boundaries.
-    users, items, ratings = raw.user_ids[keep], raw.item_ids[keep], raw.ratings[keep]
+    users = raw.user_ids[keep]
     run_start = np.r_[True, users[1:] != users[:-1]]
     counts = np.diff(np.r_[np.flatnonzero(run_start), users.size])
-    mask = np.repeat(counts >= min_ratings, counts)
-    users, items, ratings, run_start = users[mask], items[mask], ratings[mask], run_start[mask]
-
-    user_ids, u_idx = users[run_start], np.cumsum(run_start) - 1
-    item_ids, i_idx = np.unique(items, return_inverse=True)
+    if counts.min() < min_ratings:
+        mask = np.repeat(counts >= min_ratings, counts)
+        keep, users, run_start = keep[mask], users[mask], run_start[mask]
+    user_ids = users[run_start]
+    del users
+    item_ids, i_idx = np.unique(raw.item_ids[keep], return_inverse=True)
+    u_idx = np.cumsum(run_start) - 1
+    del run_start
     matrix = SparseRatingMatrix(
         max(user_ids.size, 1), max(item_ids.size, 1), max_rating,
-        u_idx, i_idx, ratings,
+        u_idx, i_idx, raw.ratings[keep],
     )
     return PreprocessResult(matrix, user_ids, item_ids, n_duplicates)
 
@@ -222,7 +237,7 @@ def save_matrix(y: SparseRatingMatrix, target):
     sorted by (i, j)."""
     with open_text(target, "w") as stream:
         stream.write(f"{MATRIX_MAGIC} 1 {y.n_users} {y.n_items} {y.max_rating} {y.n_observed}\n")
-        stream.writelines(_format_rows(np.column_stack([y.users, y.items, y.ratings]), "%d"))
+        stream.writelines(_format_rows([y.users, y.items, y.ratings], "%d"))
 
 
 def load_matrix(source) -> SparseRatingMatrix:

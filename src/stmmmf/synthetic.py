@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FactorModel, SparseRatingMatrix, discretize_rows
+from .core import ROW_DOT_BLOCK, FactorModel, SparseRatingMatrix, discretize_rows
 from .ingest import _format_rows
 
 
@@ -143,12 +143,19 @@ def synthetic_ratings_file(
         users[pos : pos + mine.size] = i
         items[pos : pos + mine.size] = mine
         pos += mine.size
+    del seeded
     if pos != n_ratings:
         raise ValueError(f"placed {pos} ratings, not the requested {n_ratings}")
 
     scores = model.scores(users, items) + rng.normal(0.0, 0.7, size=n_ratings)
-    ratings = discretize_rows(model.thresholds[users], scores[:, None])[:, 0]
+    # a block of rows at a time, so no (n_ratings, R - 1) threshold gather is built
+    ratings = np.empty(n_ratings, dtype=np.int64)
+    for start in range(0, n_ratings, ROW_DOT_BLOCK):
+        rows = slice(start, start + ROW_DOT_BLOCK)
+        ratings[rows] = discretize_rows(model.thresholds[users[rows]], scores[rows, None])[:, 0]
+    del scores
     stamps = rng.integers(874_000_000, 894_000_000, size=n_ratings)
 
-    table = np.column_stack([users + 1, items + 1, ratings, stamps])
-    return "".join(_format_rows(table, "%d", delimiter))
+    users += 1
+    items += 1
+    return "".join(_format_rows([users, items, ratings, stamps], "%d", delimiter))

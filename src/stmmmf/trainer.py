@@ -231,7 +231,7 @@ def save_checkpoint(model: FactorModel, target):
         stream.write(f"{CHECKPOINT_MAGIC} 1 {model.n_users} {model.n_items} "
                      f"{model.n_factors} {model.max_rating}\n")
         for block in (model.user_factors, model.item_factors, model.thresholds):
-            stream.writelines(_format_rows(block, "%.17g"))
+            stream.writelines(_format_rows(block.T, "%.17g"))
 
 
 def load_checkpoint(source) -> FactorModel:

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stmmmf import cli
-from stmmmf.baseline import BaselineConfig
+from stmmmf import baseline, cli
+from stmmmf.baseline import BaselineConfig, train_baseline
 from stmmmf.cli import DEFAULT_LAMBDA_GRID, DEFAULT_TAU1_GRID, main
 from stmmmf.core import FactorModel, SparseRatingMatrix
 from stmmmf.evaluation import split
@@ -56,6 +56,19 @@ def test_ingest_min_ratings_filter(tmp_path, capsys):
     out = tmp_path / "y.stmat"
     assert run(["ingest", src, "--out", out, "--min-ratings", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "1 2 5 2"
+
+
+def test_ingest_notes_dropped_duplicates_and_keeps_the_later_one(tmp_path, capsys):
+    lines = ["1\t10\t3\t200", "1\t11\t4\t100", "1\t10\t5\t100"]
+    src = tmp_path / "u.data"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "y.stmat"
+    assert run(["ingest", src, "--out", out, "--min-ratings", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "1 2 5 2"
+    assert captured.err == "dropped 1 duplicate pairs\n"
+    y = load_matrix(out)
+    assert list(zip(y.items, y.ratings)) == [(0, 3), (1, 4)]  # timestamp 200 wins
 
 
 def test_ingest_negative_id_is_an_error_line(tmp_path, capsys):
@@ -509,7 +522,9 @@ def serial_pool(monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli, "_grid_matrix", None)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    # 3 CPUs in this process's affinity set on an 8-CPU machine
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     return pools
 
 
@@ -520,6 +535,15 @@ def test_gridsearch_workers_clamped_to_cpu_count(toy_files, serial_pool):
     assert run(grid_args(train_path, out, *grid, "--workers", "4096")) == 0
     assert serial_pool == [3]
     assert len(out.read_text().splitlines()) == 2
+
+
+def test_gridsearch_workers_clamped_to_cpu_count_without_affinity(toy_files, serial_pool,
+                                                                   monkeypatch):
+    tmp_path, train_path, _ = toy_files
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    grid = ["--lambda-grid", "0.2", "--tau1-grid", "30", "--s-grid", "100"]
+    assert run(grid_args(train_path, tmp_path / "grid.csv", *grid, "--workers", "4096")) == 0
+    assert serial_pool == [8]
 
 
 def test_gridsearch_cell_payload_holds_no_matrix(toy_files, serial_pool, monkeypatch):
@@ -579,6 +603,45 @@ def test_baseline_rounds_orders_snapshots_by_round_number(toy_files, capsys):
                 "--epochs", "1", "--out", out]) == 0
     rounds = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
     assert rounds == ["2", "10", "101", "1000"]
+
+
+def test_baseline_rounds_loads_each_snapshot_when_it_trains(toy_files, capsys, monkeypatch):
+    tmp_path, train_path, test_path = toy_files
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    for k in range(3):
+        save_matrix(load_matrix(train_path), snaps / f"round_{k:03d}.stmat")
+    loads, loads_at_train = [], []
+
+    def counting_load(source):
+        loads.append(source)
+        return load_matrix(source)
+
+    def recording_train(y, cfg):
+        loads_at_train.append(len(loads))
+        return train_baseline(y, cfg)
+
+    monkeypatch.setattr(cli, "load_matrix", counting_load)
+    monkeypatch.setattr(baseline, "train_baseline", recording_train)
+    assert run(["baseline-rounds", snaps, "--test", test_path, "--epochs", "1",
+                "--out", tmp_path / "b.csv"]) == 0
+    assert loads_at_train == [2, 3, 4]  # the test set, then one snapshot per round
+
+
+def test_baseline_rounds_bad_later_snapshot_is_an_error_line(toy_files, capsys):
+    tmp_path, train_path, test_path = toy_files
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    save_matrix(load_matrix(train_path), snaps / "round_000.stmat")
+    (snaps / "round_001.stmat").write_text("STMAT 1 30 24 5 2\n0 0 3\n")
+    out = tmp_path / "b.csv"
+    assert run(["baseline-rounds", snaps, "--test", test_path, "--epochs", "1",
+                "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
 
 
 def test_baseline_rounds_two_files_for_one_round_is_an_error_line(toy_files, capsys, monkeypatch):

@@ -336,6 +336,12 @@ def test_matrix_counts_and_mask():
     assert list(y.contains([0, 1, 1], [0, 1, 2])) == [True, True, False]
 
 
+def test_contains_on_an_empty_matrix_is_all_false():
+    y = SparseRatingMatrix.from_triples(2, 3, 5, [])
+    got = y.contains([0, 1, 1], [0, 1, 2])
+    assert got.dtype == bool and not got.any() and got.shape == (3,)
+
+
 def test_matrix_content_hash_tracks_content():
     a = SparseRatingMatrix.from_triples(2, 2, 5, [(0, 0, 3)])
     b = SparseRatingMatrix.from_triples(2, 2, 5, [(0, 0, 3)])

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from stmmmf.ingest import (
     preprocess,
     save_matrix,
 )
+from stmmmf.synthetic import synthetic_ratings_file
 
 
 def raw(triples_with_stamps):
@@ -316,3 +318,54 @@ def test_matrix_bad_header_rejected():
 def test_matrix_out_of_range_entry_rejected():
     with pytest.raises(ValueError):
         load_matrix(io.StringIO("STMAT 1 2 2 5 1\n0 0 9\n"))
+
+
+# ------------------------------------------------- set-up memory budgets
+
+N_BUDGET = 40_000  # ratings in the budget tests' file
+
+
+@pytest.fixture(scope="module")
+def rating_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ratings") / "u.data"
+    path.write_text(synthetic_ratings_file(seed=3, n_users=400, n_items=600, n_ratings=N_BUDGET))
+    return path
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_parse_builds_the_rating_table_once(rating_file):
+    """The four columns are views of the one (n, 4) int64 table the reader
+    builds: no second copy, which would double the peak."""
+    raw, peak = traced_peak(parse_ml100k, rating_file)
+    assert len(raw) == N_BUDGET
+    assert peak < 1.5 * 32 * N_BUDGET
+
+
+@pytest.mark.parametrize("min_ratings", [0, 40])
+def test_preprocess_peak_stays_under_two_and_a_half_inputs(rating_file, min_ratings):
+    """Sort keys, orders and masks are dropped once used, and a filter that
+    keeps every user copies nothing: the peak stays under 2.5 times the
+    32-byte-per-rating input (3.4 times if every temporary stays alive)."""
+    raw = parse_ml100k(rating_file)
+    result, peak = traced_peak(preprocess, raw, min_ratings)
+    assert (result.matrix.n_observed < N_BUDGET) == (min_ratings > 0)
+    assert peak < 2.5 * 32 * N_BUDGET
+
+
+def test_save_matrix_formats_blocks_not_a_table_copy(rating_file, tmp_path):
+    """Rows are formatted a block at a time from the matrix's own columns,
+    so the peak stays under one copy of those three int64 columns."""
+    y = preprocess(parse_ml100k(rating_file), 0).matrix
+    _, peak = traced_peak(save_matrix, y, tmp_path / "y.stmat")
+    assert load_matrix(tmp_path / "y.stmat").content_hash() == y.content_hash()
+    assert peak < 24 * y.n_observed

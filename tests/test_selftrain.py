@@ -612,6 +612,13 @@ def test_loop_stops_when_no_candidates():
         assert len(result.reports) == 10
 
 
+def test_loop_on_an_empty_matrix_stops_before_any_solve(monkeypatch):
+    monkeypatch.setattr(selftrain, "train", None)  # no solve may start
+    result = selftrain_loop(SparseRatingMatrix.from_triples(3, 3, 5, []), loop_config())
+    assert result.stop_reason == "empty_training_set"
+    assert result.reports == [] and result.model is None
+
+
 def test_loop_stops_after_patience_worse_rounds(monkeypatch):
     train_m, test_m = small_problem()
     # round 3 is worse, round 4 better again, rounds 5-7 worse in a row

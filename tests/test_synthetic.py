@@ -1,5 +1,6 @@
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,20 @@ def test_ratings_file_rejects_counts_below_the_seeded_items():
     # give both users 5
     with pytest.raises(ValueError, match="cannot meet the totals"):
         synthetic_ratings_file(seed=0, n_users=2, n_items=10, n_ratings=8, min_per_user=1)
+
+
+def test_ratings_file_peak_stays_under_five_texts():
+    """The seeded grid and the scores are freed before formatting, ratings
+    are discretized a block of rows at a time and rows are formatted from
+    the four columns a block at a time: what remains is the columns, the
+    text's blocks and the joined text (7.4 texts if all of it stays alive)."""
+    tracemalloc.start()
+    try:
+        text = synthetic_ratings_file(seed=3, n_users=400, n_items=600, n_ratings=40_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * len(text)
 
 
 # ------------------------------------------- the desk data path, pinned
