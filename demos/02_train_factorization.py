@@ -5,7 +5,7 @@ of the matrix."""
 
 import numpy as np
 
-from stmmmf import Hyperparams, predict_ratings, train
+from stmmmf import SelfTrainConfig, predict_ratings, train
 from stmmmf.synthetic import planted_matrix, planted_model
 
 truth = planted_model(n_users=30, n_items=25, rank=2, seed=7)
@@ -13,8 +13,8 @@ y = planted_matrix(truth, observed_frac=0.6, seed=8)
 print(f"planted matrix: {y.n_users} x {y.n_items}, {y.n_observed} observed entries")
 print("rating shares:", np.round(y.rating_shares(), 3))
 
-params = Hyperparams(reg=0.1, lr=0.05, max_iters=300, tol=1e-10, seed=3)
-model, trace = train(y, params, n_factors=4)
+cfg = SelfTrainConfig(n_factors=4, reg=0.1, lr=0.05, gd_iters=300, tol=1e-10, seed=3)
+model, trace = train(y, cfg)
 
 print(f"\nran {trace.iterations} accepted steps, converged={trace.converged}")
 marks = np.linspace(0, trace.objectives.size - 1, 8).astype(int)

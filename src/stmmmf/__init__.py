@@ -3,7 +3,6 @@ that augments confident predictions and refines noisy observations."""
 
 from .core import (
     FactorModel,
-    Hyperparams,
     SparseRatingMatrix,
     avg_threshold_gaps,
     smooth_hinge,
@@ -24,7 +23,6 @@ from .selftrain import (
     SelfTrainConfig,
     SelfTrainResult,
     apply_augment,
-    apply_refine,
     candidate_levels,
     low_confidence_observed,
     overlap_stats,

@@ -29,11 +29,13 @@ class BaselineConfig:
 
     def __post_init__(self):
         # epochs = 0 (a global-mean model) and n_factors = 0 stay valid.
-        for name, low in (("n_factors", 0), ("epochs", 0), ("reg", 0), ("seed", 0)):
+        for name, low in (("n_factors", 0), ("epochs", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not 0.0 <= self.reg < np.inf:
+            raise ValueError("reg must be finite and >= 0")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError("lr must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +124,7 @@ def strip_overlap(y: SparseRatingMatrix, test: SparseRatingMatrix) -> SparseRati
     is disjoint.  Raises ValueError when the grids differ.
     """
     y.check_grid(test, "round matrix")
-    keep = ~np.isin(y.observed_keys(), test.observed_keys())
+    keep = ~test.contains(y.users, y.items)
     return y if keep.all() else y.select(keep)
 
 

@@ -55,10 +55,6 @@ def row_dots(a: np.ndarray, a_rows, b: np.ndarray, b_rows) -> np.ndarray:
     return out
 
 
-class UnsupportedScaleError(ValueError):
-    """Raised when an operation needs a wider rating scale than provided."""
-
-
 @dataclass(frozen=True, eq=False)
 class SparseRatingMatrix:
     """Observed (user, item, rating) triples over an n_users x n_items grid.
@@ -262,30 +258,6 @@ class FactorModel:
             raise ValueError("model and matrix rating scales differ")
 
 
-@dataclass(frozen=True)
-class Hyperparams:
-    """Settings for one gradient-descent factorization solve."""
-
-    reg: float = 1.0
-    lr: float = 0.01
-    max_iters: int = 300
-    tol: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.reg <= 0:
-            raise ValueError("reg must be > 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        # max_iters = 0 is allowed: it returns the initial model untouched.
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-
-
 def smooth_hinge(z):
     """Smooth hinge loss: 0 for z >= 1, quadratic on (0, 1), linear below.
 
@@ -346,7 +318,7 @@ def avg_threshold_gaps(model: FactorModel):
     well-formed.
     """
     if model.max_rating < 3:
-        raise UnsupportedScaleError("average threshold gap needs a rating scale of at least 3")
+        raise ValueError("average threshold gap needs a rating scale of at least 3")
     raw = np.diff(model.thresholds, axis=1).mean(axis=1)
     n_clamped = int(np.count_nonzero(raw < GAP_EPS))
     return np.maximum(raw, GAP_EPS), n_clamped

@@ -15,13 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    FactorModel,
-    Hyperparams,
-    SparseRatingMatrix,
-    avg_threshold_gaps,
-    discretize_rows,
-)
+from .core import FactorModel, SparseRatingMatrix, avg_threshold_gaps, discretize_rows
 from .evaluation import snapshot
 from .trainer import TrainingDivergedError, predict_ratings, train
 
@@ -35,9 +29,10 @@ REPORT_CSV_COLUMNS = [
 class SelfTrainConfig:
     """All knobs of the augment-and-refine loop.
 
-    tau_augment and tau_refine are fractions of the per-user average
-    threshold gap; sample_pct is the percentage of the candidate set
-    sampled each round, capped at `cap` entries.
+    n_factors, reg, lr, gd_iters, tol and seed configure each round's solve
+    (see trainer.train).  tau_augment and tau_refine are fractions of the
+    per-user average threshold gap; sample_pct is the percentage of the
+    candidate set sampled each round, capped at `cap` entries.
     """
 
     n_factors: int = 10
@@ -54,8 +49,15 @@ class SelfTrainConfig:
     patience: int = 5
 
     def __post_init__(self):
-        if self.n_factors < 1:
-            raise ValueError("n_factors must be >= 1")
+        # gd_iters = 0 stays valid: every solve returns its initial model.
+        for name, low in (("n_factors", 1), ("gd_iters", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        for name in ("reg", "lr"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError("tol must be finite and >= 0")
         if not 0.0 < self.tau_refine < self.tau_augment < 0.5:
             raise ValueError("need 0 < tau_refine < tau_augment < 0.5")
         if not 0.0 < self.sample_pct <= 100.0:
@@ -66,14 +68,6 @@ class SelfTrainConfig:
             raise ValueError("max_rounds must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        # Reuses the inner-solver validation for reg/lr/gd_iters/tol/seed.
-        self.hyperparams()
-
-    def hyperparams(self) -> Hyperparams:
-        return Hyperparams(
-            reg=self.reg, lr=self.lr, max_iters=self.gd_iters,
-            tol=self.tol, seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -153,9 +147,9 @@ def candidate_levels(model: FactorModel, y: SparseRatingMatrix, tau_augment: flo
 
 def low_confidence_observed(
     model: FactorModel, y: SparseRatingMatrix, tau_refine: float
-):
+) -> np.ndarray:
     """Observed cells whose score no band at tau_refine average gaps holds
-    (bands as in candidate_levels), as (users, items) arrays.
+    (bands as in candidate_levels), as a boolean mask over y's entries.
 
     On a sorted threshold row that means within tau_refine gaps of a stored
     threshold, apart from exact float ties.  On any row, a cell confident
@@ -167,8 +161,7 @@ def low_confidence_observed(
     gaps, _ = avg_threshold_gaps(model)
     scores = model.scores(y.users, y.items)[:, None]
     margin = gaps[y.users] * tau_refine
-    low = discretize_rows(model.thresholds[y.users], scores, margin)[:, 0] == 0
-    return y.users[low], y.items[low]
+    return discretize_rows(model.thresholds[y.users], scores, margin)[:, 0] == 0
 
 
 def skew_allocation(shares, total: int) -> np.ndarray:
@@ -260,29 +253,16 @@ def sample_augment(
 
 
 def apply_augment(y: SparseRatingMatrix, selected: SparseRatingMatrix) -> SparseRatingMatrix:
-    """Insert the selected candidate triples as observed entries."""
+    """Insert the selected candidate triples as observed entries; a triple
+    on an observed cell raises ValueError (duplicate pair)."""
     if len(selected) == 0:
         return y
-    if np.any(y.contains(selected.users, selected.items)):
-        raise ValueError("augmentation collides with an observed entry")
     return SparseRatingMatrix(
         y.n_users, y.n_items, y.max_rating,
         np.concatenate([y.users, selected.users]),
         np.concatenate([y.items, selected.items]),
         np.concatenate([y.ratings, selected.ratings]),
     )
-
-
-def apply_refine(y: SparseRatingMatrix, removals) -> SparseRatingMatrix:
-    """Delete the given observed (users, items) cells from the matrix."""
-    rem_users = np.asarray(removals[0], dtype=np.int64)
-    rem_items = np.asarray(removals[1], dtype=np.int64)
-    if rem_users.size == 0:
-        return y
-    if not np.all(y.contains(rem_users, rem_items)):
-        raise ValueError("refinement targets an unobserved entry")
-    rem_keys = np.unique(rem_users * y.n_items + rem_items)
-    return y.select(~np.isin(y.observed_keys(), rem_keys))
 
 
 def overlap_stats(prev: np.ndarray, cur: np.ndarray):
@@ -317,8 +297,11 @@ def selftrain_loop(
     callback(report, model, y_in, y_out).
 
     Divergence of the inner solver ends the loop early; the reports
-    collected so far are returned with stop_reason "diverged".
+    collected so far are returned with stop_reason "diverged".  A rating
+    scale below 3 has no average threshold gap and is rejected up front.
     """
+    if y0.max_rating < 3:
+        raise ValueError("average threshold gap needs a rating scale of at least 3")
     if test is not None:
         y0.check_grid(test, "training matrix")
         if np.any(y0.contains(test.users, test.items)):
@@ -335,17 +318,16 @@ def selftrain_loop(
             stop_reason = "empty_training_set"
             break
         try:
-            model, trace = train(y, cfg.hyperparams(), cfg.n_factors)
+            model, trace = train(y, cfg)
         except TrainingDivergedError:
             stop_reason = "diverged"
             break
         _, n_clamped = avg_threshold_gaps(model)
         levels = candidate_levels(model, y, cfg.tau_augment)
-        removals = low_confidence_observed(model, y, cfg.tau_refine)
+        low = low_confidence_observed(model, y, cfg.tau_refine)
         rng = np.random.default_rng([cfg.seed, iteration])
         selected = sample_augment(levels, y.rating_shares(), cfg.sample_pct, cfg.cap, rng)
-        y_next = apply_refine(y, removals)
-        y_next = apply_augment(y_next, selected)
+        y_next = apply_augment(y.select(~low), selected)
         overlap = retained = None
         if prev_levels is not None:
             overlap, retained = overlap_stats(prev_levels, levels)
@@ -362,7 +344,7 @@ def selftrain_loop(
             unobserved=y.n_unobserved,
             candidates=int(np.count_nonzero(levels)),
             augmented=len(selected),
-            refined=int(np.asarray(removals[0]).size),
+            refined=int(np.count_nonzero(low)),
             overlap=overlap,
             retained_frac=retained,
             gap_clamps=n_clamped,

@@ -26,14 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .core import (
-    FactorModel,
-    Hyperparams,
-    SparseRatingMatrix,
-    discretize_rows,
-    row_dots,
-    t_indicator,
-)
+from .core import FactorModel, SparseRatingMatrix, discretize_rows, row_dots, t_indicator
 from .ingest import _format_rows, _read_table, open_text
 
 CHECKPOINT_MAGIC = "STMMMF"
@@ -157,31 +150,31 @@ def initial_model(y: SparseRatingMatrix, n_factors: int, seed: int) -> FactorMod
     return FactorModel(u, v, theta)
 
 
-def train(y: SparseRatingMatrix, params: Hyperparams, n_factors: int):
+def train(y: SparseRatingMatrix, cfg):
     """Fit factors and thresholds to the observed entries of y.
 
-    Runs at most params.max_iters descent steps.  A step that would raise
-    the objective is retried with a halved step size; the step size is
-    restored to its configured value every 10 accepted steps.  Stops early
-    once the relative objective decrease falls below params.tol.  Returns
-    (model, trace) with a non-increasing accepted-objective sequence.
+    cfg is a selftrain.SelfTrainConfig, which validates the fields read
+    here: n_factors, reg, lr, gd_iters, tol and seed.  Runs at most
+    cfg.gd_iters descent steps.  A step that would raise the objective is
+    retried with a halved step size; the step size is restored to cfg.lr
+    every 10 accepted steps.  Stops early once the relative objective
+    decrease falls below cfg.tol.  Returns (model, trace) with a
+    non-increasing accepted-objective sequence.
     """
     if y.n_observed == 0:
         raise ValueError("cannot train on an empty rating matrix")
-    if n_factors < 1:
-        raise ValueError("n_factors must be >= 1")
-    model = initial_model(y, n_factors, params.seed)
-    loss = HingeLoss(y, params.reg)
+    model = initial_model(y, cfg.n_factors, cfg.seed)
+    loss = HingeLoss(y, cfg.reg)
     current, grads = loss(model)
     kernel_calls = 1
     if not np.isfinite(current):
         raise TrainingDivergedError("initial objective is not finite")
     objectives = [current]
-    lr = params.lr
+    lr = cfg.lr
     accepted = 0
     violations = 0
     converged = False
-    for _ in range(params.max_iters):
+    for _ in range(cfg.gd_iters):
         proposal = None
         while lr >= _MIN_LR:
             candidate = gd_step(model, grads, lr)
@@ -201,11 +194,11 @@ def train(y: SparseRatingMatrix, params: Hyperparams, n_factors: int):
         )
         rel_drop = (current - value) / max(current, 1.0)
         current = value
-        if rel_drop < params.tol:
+        if rel_drop < cfg.tol:
             converged = True
             break
         if accepted % _LR_RESTORE_EVERY == 0:
-            lr = params.lr
+            lr = cfg.lr
     trace = TrainTrace(np.array(objectives), accepted, converged, violations, kernel_calls)
     return model, trace
 

@@ -170,8 +170,8 @@ def test_planted_recovery():
     started = time.monotonic()
     truth = planted_model(30, 25, rank=2, seed=7)
     y = planted_matrix(truth, observed_frac=0.6, seed=8)
-    params = st.Hyperparams(reg=0.1, lr=0.05, max_iters=300, tol=1e-12, seed=3)
-    model, trace = train(y, params, 4)
+    cfg = st.SelfTrainConfig(n_factors=4, reg=0.1, lr=0.05, gd_iters=300, tol=1e-12, seed=3)
+    model, trace = train(y, cfg)
     preds = predict_ratings(model, y.users, y.items)
     assert np.abs(preds - y.ratings).mean() <= 0.05
     assert trace.iterations <= 300
@@ -274,7 +274,7 @@ def test_property_suite():
         1, 500, 5, [(0, j, 1) for j in range(500)]
     )
     confident = candidate_levels(model, empty, 0.3)
-    _, fuzzy_items = low_confidence_observed(model, filled, 0.15)
+    fuzzy_items = filled.items[low_confidence_observed(model, filled, 0.15)]
     assert set(np.nonzero(confident)[1]).isdisjoint(fuzzy_items)
 
     # augmented triples rediscretize to their own rating; test set untouched

@@ -424,10 +424,22 @@ def test_gridsearch_empty_carve_out_keeps_the_header(tmp_path, capsys):
     ["baseline-rounds", "{train}", "--test", "{train}", "--seed", "-1"],
     ["split", "{train}", "--seed", "-1"],
     ["ingest", "{train}", "--out", "{train}.ingested", "--min-ratings", "-1"],
+    ["selftrain", "{train}", "--lr", "nan"],
+    ["selftrain", "{train}", "--lr", "inf"],
+    ["selftrain", "{train}", "--tol", "nan"],
+    ["selftrain", "{train}", "--lambda", "nan"],
+    ["selftrain", "{train}", "--lambda", "inf"],
+    ["gridsearch", "{train}", "--tau1-grid", "30", "--lr", "nan"],
+    ["baseline-rounds", "{train}", "--test", "{train}", "--lr", "nan"],
+    ["baseline-rounds", "{train}", "--test", "{train}", "--lr", "inf"],
+    ["baseline-rounds", "{train}", "--test", "{train}", "--reg", "nan"],
+    ["baseline-rounds", "{train}", "--test", "{train}", "--reg", "inf"],
 ], ids=["selftrain-dim", "split-frac", "gridsearch-runs", "gridsearch-grid",
         "baseline-epochs", "baseline-lr", "baseline-reg", "baseline-dim",
         "selftrain-seed", "gridsearch-seed", "baseline-seed", "split-seed",
-        "ingest-min-ratings"])
+        "ingest-min-ratings", "selftrain-lr-nan", "selftrain-lr-inf", "selftrain-tol-nan",
+        "selftrain-lambda-nan", "selftrain-lambda-inf", "gridsearch-lr-nan",
+        "baseline-lr-nan", "baseline-lr-inf", "baseline-reg-nan", "baseline-reg-inf"])
 def test_handler_usage_error_prints_command_usage(toy_files, capsys, argv):
     _, train_path, _ = toy_files
     with pytest.raises(SystemExit) as exc:  # raised before any output is written

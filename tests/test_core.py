@@ -8,7 +8,6 @@ from stmmmf.core import (
     GAP_EPS,
     FactorModel,
     SparseRatingMatrix,
-    UnsupportedScaleError,
     avg_threshold_gaps,
     discretize_rows,
     row_dots,
@@ -218,7 +217,7 @@ def test_avg_threshold_gap_clamps_and_counts():
 
 def test_avg_threshold_gap_needs_three_levels():
     m = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 1)))
-    with pytest.raises(UnsupportedScaleError):
+    with pytest.raises(ValueError, match="rating scale of at least 3"):
         avg_threshold_gaps(m)
 
 

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from stmmmf.core import (
-    SCORE_BLOCK, FactorModel, Hyperparams, SparseRatingMatrix, avg_threshold_gaps, discretize_rows,
+    SCORE_BLOCK, FactorModel, SparseRatingMatrix, avg_threshold_gaps, discretize_rows,
 )
 from stmmmf import selftrain
 from stmmmf.evaluation import MetricsSnapshot, split
 from stmmmf.selftrain import (
     SelfTrainConfig,
     apply_augment,
-    apply_refine,
     candidate_levels,
     low_confidence_observed,
     overlap_stats,
@@ -128,8 +127,8 @@ def test_candidates_self_consistent_with_discretize():
 def test_low_confidence_band_examples():
     triples = [(0, 0, 2), (0, 1, 3), (0, 2, 1)]
     model, y = band_model([2.05, 2.5, 0.95], observed_triples=triples)
-    users, items = low_confidence_observed(model, y, 0.1)
-    flagged = set(zip(users, items))
+    low = low_confidence_observed(model, y, 0.1)
+    flagged = set(zip(y.users[low], y.items[low]))
     assert (0, 0) in flagged       # 1.9 < 2.05 < 2.1
     assert (0, 1) not in flagged   # no band holds 2.5
     assert (0, 2) in flagged       # 0.9 < 0.95 < 1.1
@@ -137,8 +136,8 @@ def test_low_confidence_band_examples():
 
 def test_low_confidence_only_observed_cells():
     model, y = band_model([2.05, 2.05], observed_triples=[(0, 1, 2)])
-    users, items = low_confidence_observed(model, y, 0.1)
-    assert list(items) == [1]
+    low = low_confidence_observed(model, y, 0.1)
+    assert list(y.items[low]) == [1]
 
 
 def test_bands_disjoint_when_gaps_uniform():
@@ -151,8 +150,8 @@ def test_bands_disjoint_when_gaps_uniform():
     hi = candidate_levels(model, y_empty, tau1)
     all_cells = [(0, j, 1) for j in range(scores.size)]
     y_full = SparseRatingMatrix.from_triples(1, scores.size, 5, all_cells)
-    lo_users, lo_items = low_confidence_observed(model, y_full, tau2)
-    assert set(np.nonzero(hi)[1]).isdisjoint(set(lo_items))
+    low = low_confidence_observed(model, y_full, tau2)
+    assert set(np.nonzero(hi)[1]).isdisjoint(set(y_full.items[low]))
 
 
 def test_band_edges_follow_the_half_open_rule():
@@ -162,7 +161,7 @@ def test_band_edges_follow_the_half_open_rule():
     found = found_levels(candidate_levels(model, y_empty, 0.25))
     assert list(found) == [(0, 0)] and list(found.values()) == [3]
     y_full = SparseRatingMatrix.from_triples(1, 2, 5, [(0, 0, 3), (0, 1, 3)])
-    assert list(low_confidence_observed(model, y_full, 0.25)[1]) == [1]
+    assert list(y_full.items[low_confidence_observed(model, y_full, 0.25)]) == [1]
 
 
 def open_scan_candidates(model, y, tau):
@@ -229,11 +228,11 @@ def test_refinement_matches_threshold_loop_on_sorted_rows(seed, sort_rows):
     assert keep.any()
     on_sorted = y.select(keep)
     for tau in (0.05, 0.15, 0.3):
-        got_u, got_i = low_confidence_observed(model, on_sorted, tau)
+        low = low_confidence_observed(model, on_sorted, tau)
         want_u, want_i = threshold_loop_refinement(model, on_sorted, tau)
-        assert got_u.size > 0
-        np.testing.assert_array_equal(got_u, want_u)
-        np.testing.assert_array_equal(got_i, want_i)
+        assert low.any()
+        np.testing.assert_array_equal(on_sorted.users[low], want_u)
+        np.testing.assert_array_equal(on_sorted.items[low], want_i)
 
 
 def test_bands_disjoint_on_any_rows():
@@ -247,9 +246,9 @@ def test_bands_disjoint_on_any_rows():
     users, items = np.divmod(np.arange(n_users * n_items), n_items)
     full = SparseRatingMatrix(n_users, n_items, 5, users, items, np.ones_like(users))
     confident = np.flatnonzero(candidate_levels(model, empty, 0.3))
-    low_u, low_i = low_confidence_observed(model, full, 0.15)
-    assert len(confident) > 0 and low_u.size > 0
-    assert np.intersect1d(confident, low_u * n_items + low_i).size == 0
+    low = low_confidence_observed(model, full, 0.15)
+    assert len(confident) > 0 and low.any()
+    assert np.intersect1d(confident, full.observed_keys()[low]).size == 0
 
 
 # ------------------------------------------------------------ skew allocation
@@ -401,23 +400,18 @@ def test_apply_augment_collision_rejected():
         apply_augment(y, cands([(0, 0, 5)], n_items=4))
 
 
-def test_apply_refine_identity_and_count():
+def test_refine_mask_identity_and_count():
     y = SparseRatingMatrix.from_triples(4, 4, 5, [(i, i, 2) for i in range(4)])
-    same = apply_refine(y, (np.empty(0, np.int64), np.empty(0, np.int64)))
-    assert same.n_observed == 4
-    fewer = apply_refine(y, (np.array([1, 3]), np.array([1, 3])))
+    same = y.select(~np.zeros(4, dtype=bool))
+    assert same.content_hash() == y.content_hash()
+    fewer = y.select(~np.array([False, True, False, True]))
     assert fewer.n_observed == 2
-
-
-def test_apply_refine_unobserved_rejected():
-    y = SparseRatingMatrix.from_triples(4, 4, 5, [(0, 0, 3)])
-    with pytest.raises(ValueError):
-        apply_refine(y, (np.array([1]), np.array([1])))
+    assert list(fewer.users) == [0, 2] and list(fewer.items) == [0, 2]
 
 
 def test_refined_cell_becomes_augmentable():
     y = SparseRatingMatrix.from_triples(2, 2, 5, [(0, 0, 3), (1, 1, 4)])
-    smaller = apply_refine(y, (np.array([0]), np.array([0])))
+    smaller = y.select(~np.array([True, False]))
     assert smaller.n_observed == 1
     regrown = apply_augment(smaller, cands([(0, 0, 2)], n_items=2))
     assert regrown.to_dense()[0, 0] == 2
@@ -466,9 +460,21 @@ def test_config_validation():
         SelfTrainConfig(cap=0)
     with pytest.raises(ValueError):
         SelfTrainConfig(max_rounds=0)
-    for make in (SelfTrainConfig, Hyperparams):
-        with pytest.raises(ValueError, match="seed must be >= 0"):
-            make(seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SelfTrainConfig(seed=-1)
+    with pytest.raises(ValueError, match="reg must be finite and > 0"):
+        SelfTrainConfig(reg=0.0)
+    with pytest.raises(ValueError, match="lr must be finite and > 0"):
+        SelfTrainConfig(lr=0.0)
+    with pytest.raises(ValueError, match="gd_iters must be >= 0"):
+        SelfTrainConfig(gd_iters=-1)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        SelfTrainConfig(tol=-1.0)
+    for field in ("reg", "lr", "tol"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SelfTrainConfig(**{field: value})
+    assert SelfTrainConfig(gd_iters=0, tol=0.0).gd_iters == 0
 
 
 # --------------------------------------------------------------------- loop
@@ -619,6 +625,16 @@ def test_loop_on_an_empty_matrix_stops_before_any_solve(monkeypatch):
     assert result.reports == [] and result.model is None
 
 
+def test_loop_rejects_a_two_level_scale_before_any_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(selftrain, "train", no_solve)
+    y = SparseRatingMatrix.from_triples(3, 3, 2, [(0, 0, 1), (1, 1, 2), (2, 2, 1)])
+    with pytest.raises(ValueError, match="rating scale of at least 3"):
+        selftrain_loop(y, loop_config())
+
+
 def test_loop_stops_after_patience_worse_rounds(monkeypatch):
     train_m, test_m = small_problem()
     # round 3 is worse, round 4 better again, rounds 5-7 worse in a row
@@ -704,7 +720,7 @@ def test_reports_carry_solver_stats():
         assert fields["order_violations"] >= 0
         assert len(report.to_csv_row()) == 10
     # round 1 solves the input matrix, so it reports that solve's trace
-    _, trace = train(train_m, cfg.hyperparams(), cfg.n_factors)
+    _, trace = train(train_m, cfg)
     first = result.reports[0]
     assert (first.steps, first.converged, first.kernel_calls, first.order_violations) == (
         trace.iterations, trace.converged, trace.kernel_calls, trace.order_violations)

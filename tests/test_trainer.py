@@ -8,11 +8,11 @@ from scipy import sparse
 from stmmmf import core, trainer
 from stmmmf.core import (
     FactorModel,
-    Hyperparams,
     SparseRatingMatrix,
     smooth_hinge,
     smooth_hinge_grad,
 )
+from stmmmf.selftrain import SelfTrainConfig
 from stmmmf.synthetic import planted_matrix, planted_model
 from stmmmf.trainer import (
     HingeLoss,
@@ -321,8 +321,8 @@ def test_small_step_decreases_objective():
 def test_train_recovers_planted_model():
     truth = planted_model(30, 25, rank=2, seed=7)
     y = planted_matrix(truth, observed_frac=0.6, seed=8)
-    params = Hyperparams(reg=0.1, lr=0.05, max_iters=300, tol=1e-12, seed=3)
-    model, trace = train(y, params, 4)
+    cfg = SelfTrainConfig(n_factors=4, reg=0.1, lr=0.05, gd_iters=300, tol=1e-12, seed=3)
+    model, trace = train(y, cfg)
     preds = predict_ratings(model, y.users, y.items)
     assert np.abs(preds - y.ratings).mean() <= 0.05
     assert trace.objectives.size == trace.iterations + 1
@@ -341,7 +341,8 @@ def test_train_evaluates_once_per_trial_step(monkeypatch):
     truth = planted_model(12, 10, rank=2, seed=1)
     y = planted_matrix(truth, observed_frac=0.7, seed=2)
     # lr 10 overshoots, so some trial steps are rejected and halved
-    _, trace = train(y, Hyperparams(reg=0.2, lr=10.0, max_iters=20, tol=0.0, seed=5), 3)
+    cfg = SelfTrainConfig(n_factors=3, reg=0.2, lr=10.0, gd_iters=20, tol=0.0, seed=5)
+    _, trace = train(y, cfg)
     assert len(values) > 1 + trace.iterations
     assert trace.kernel_calls == len(values)
     # replaying the calls as start point plus trial steps gives the trace
@@ -364,10 +365,10 @@ def test_train_matches_row_major_kernel_bits(monkeypatch, max_rating):
                for i in range(60) for j in range(80) if rng.random() < 0.3]
     y = SparseRatingMatrix.from_triples(60, 80, max_rating, triples)
     # lr 0.5 overshoots on some steps, so rejected trial steps are covered
-    params = Hyperparams(reg=1.0, lr=0.5, max_iters=40, tol=0.0, seed=2)
-    model, trace = train(y, params, 10)
+    cfg = SelfTrainConfig(n_factors=10, reg=1.0, lr=0.5, gd_iters=40, tol=0.0, seed=2)
+    model, trace = train(y, cfg)
     monkeypatch.setattr(trainer, "HingeLoss", RowMajorHingeLoss)
-    ref_model, ref_trace = train(y, params, 10)
+    ref_model, ref_trace = train(y, cfg)
     for name in ("user_factors", "item_factors", "thresholds"):
         assert getattr(model, name).tobytes() == getattr(ref_model, name).tobytes()
     assert (trace.iterations, trace.kernel_calls) == (ref_trace.iterations, ref_trace.kernel_calls)
@@ -377,13 +378,13 @@ def test_train_matches_row_major_kernel_bits(monkeypatch, max_rating):
 def test_train_rejects_empty_matrix():
     empty = SparseRatingMatrix.from_triples(2, 2, 5, [])
     with pytest.raises(ValueError):
-        train(empty, Hyperparams(), 2)
+        train(empty, SelfTrainConfig(n_factors=2, reg=1.0, lr=0.01, gd_iters=300, tol=1e-6))
 
 
 def test_train_zero_budget_returns_initial_model():
     y = SparseRatingMatrix.from_triples(2, 2, 5, [(0, 0, 3), (1, 1, 2)])
-    params = Hyperparams(max_iters=0, seed=11)
-    model, trace = train(y, params, 2)
+    cfg = SelfTrainConfig(n_factors=2, reg=1.0, lr=0.01, gd_iters=0, tol=1e-6, seed=11)
+    model, trace = train(y, cfg)
     assert trace.iterations == 0 and trace.objectives.size == 1
     start = initial_model(y, 2, 11)
     np.testing.assert_array_equal(model.user_factors, start.user_factors)
@@ -392,9 +393,9 @@ def test_train_zero_budget_returns_initial_model():
 def test_train_monotone_objective_and_determinism():
     truth = planted_model(12, 10, rank=2, seed=1)
     y = planted_matrix(truth, observed_frac=0.7, seed=2, noise=0.5)
-    params = Hyperparams(reg=0.2, lr=0.03, max_iters=80, tol=0.0, seed=5)
-    m1, t1 = train(y, params, 3)
-    m2, t2 = train(y, params, 3)
+    cfg = SelfTrainConfig(n_factors=3, reg=0.2, lr=0.03, gd_iters=80, tol=0.0, seed=5)
+    m1, t1 = train(y, cfg)
+    m2, t2 = train(y, cfg)
     assert np.all(np.diff(t1.objectives) <= 0)
     np.testing.assert_array_equal(t1.objectives, t2.objectives)  # bitwise
     np.testing.assert_array_equal(m1.user_factors, m2.user_factors)
@@ -403,13 +404,13 @@ def test_train_monotone_objective_and_determinism():
 
 def test_train_stops_once_the_relative_drop_falls_below_tol():
     y = planted_matrix(planted_model(20, 15, rank=2, seed=1), 0.5, seed=2)
-    params = Hyperparams(reg=0.1, lr=0.05, max_iters=500, tol=1e-3, seed=3)
-    _, trace = train(y, params, 2)
+    cfg = SelfTrainConfig(n_factors=2, reg=0.1, lr=0.05, gd_iters=500, tol=1e-3, seed=3)
+    _, trace = train(y, cfg)
     obj = trace.objectives
     drops = (obj[:-1] - obj[1:]) / np.maximum(obj[:-1], 1.0)
     assert trace.converged and trace.iterations == 249
     # the last accepted step is the first whose drop is below tol
-    assert drops[-1] < params.tol <= drops[:-1].min()
+    assert drops[-1] < cfg.tol <= drops[:-1].min()
 
 
 def test_initial_thresholds_centered():
