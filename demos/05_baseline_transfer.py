@@ -8,7 +8,7 @@ import io
 import numpy as np
 
 from stmmmf import SelfTrainConfig, selftrain_loop, split
-from stmmmf.baseline import BaselineConfig, rounds_experiment, strip_overlap
+from stmmmf.baseline import BaselineConfig, rounds_experiment
 from stmmmf.ingest import parse_ml100k, preprocess
 from stmmmf.synthetic import synthetic_ratings_file
 
@@ -24,14 +24,14 @@ print("running 6 augment-and-refine rounds...")
 cfg = SelfTrainConfig(seed=0, max_rounds=6, patience=50)
 selftrain_loop(train_m, cfg, test_m, callback=keep)
 
-# pseudo-ratings can land on held-out cells; drop them before retraining
-cleaned = [strip_overlap(m, test_m) for m in rounds]
-metrics = rounds_experiment(cleaned, test_m, BaselineConfig(seed=0))
+# pseudo-ratings can land on held-out cells; rounds_experiment drops them
+# before each retraining
+metrics = rounds_experiment(rounds, test_m, BaselineConfig(seed=0))
 
-print(f"\n{'round':>5} {'entries':>8} {'test mae':>9} {'test rmse':>10}")
-for k, (m, snap) in enumerate(zip(cleaned, metrics)):
+print(f"\n{'round':>5} {'matrix entries':>14} {'test mae':>9} {'test rmse':>10}")
+for k, (m, snap) in enumerate(zip(rounds, metrics)):
     marker = "  <- no augmentation yet" if k == 0 else ""
-    print(f"{k:>5} {m.n_observed:>8} {snap.mae:>9.4f} {snap.rmse:>10.4f}{marker}")
+    print(f"{k:>5} {m.n_observed:>14} {snap.mae:>9.4f} {snap.rmse:>10.4f}{marker}")
 
 best = int(np.argmin([m.mae for m in metrics]))
 print(f"\nbest round for the baseline: {best}")

@@ -51,7 +51,6 @@ from .baseline import (
     BaselineConfig,
     BaselineModel,
     rounds_experiment,
-    strip_overlap,
     train_baseline,
 )
 

@@ -114,33 +114,20 @@ def predict_baseline_many(model: BaselineModel, users, items) -> np.ndarray:
     return np.clip(pred, 1.0, model.max_rating)
 
 
-def strip_overlap(y: SparseRatingMatrix, test: SparseRatingMatrix) -> SparseRatingMatrix:
-    """Drop entries of y sitting on test cells.
-
-    Augmentation draws from everything unobserved in the training matrix,
-    which includes held-out cells, so snapshots can carry pseudo-ratings
-    at test positions.  Those must not reach a model scored on that test
-    set; original training entries are never affected because the split
-    is disjoint.  Raises ValueError when the grids differ.
-    """
-    y.check_grid(test, "round matrix")
-    keep = ~test.contains(y.users, y.items)
-    return y if keep.all() else y.select(keep)
-
-
 def rounds_experiment(matrices, test: SparseRatingMatrix, cfg: BaselineConfig):
     """Retrain from scratch on each matrix and score the fixed test set.
 
     Returns one MetricsSnapshot per round, in order.  `matrices` is any
     iterable and is read once, so a generator that loads each matrix when
     asked keeps only one in memory.  Matrices must share the test set's
-    grid and not overlap it; see strip_overlap for sanitizing snapshots.
+    grid.  Entries on test cells (pseudo-ratings that augmentation put on
+    held-out cells) are dropped before training.
     """
     out: list[MetricsSnapshot] = []
     for y in matrices:
         y.check_grid(test, "round matrix")
-        if np.any(y.contains(test.users, test.items)):
-            raise ValueError("round matrix overlaps the test set")
+        keep = ~test.contains(y.users, y.items)
+        y = y if keep.all() else y.select(keep)
         model = train_baseline(y, cfg)
         preds = predict_baseline_many(model, test.users, test.items)
         out.append(snapshot(np.column_stack([test.ratings, preds])))

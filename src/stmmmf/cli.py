@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import BaselineConfig, rounds_experiment, strip_overlap
+from .baseline import BaselineConfig, rounds_experiment
 from .evaluation import confusion, hr_table, snapshot, split
 from .ingest import load_matrix, open_text, parse_ml100k, parse_ml1m, preprocess, save_matrix
-from .selftrain import REPORT_CSV_COLUMNS, SelfTrainConfig, selftrain_loop
+from .selftrain import REPORT_CSV_COLUMNS, SelfTrainConfig, check_inputs, selftrain_loop
 from .trainer import TrainingDivergedError, load_checkpoint, predict_ratings, save_checkpoint
 
 DEFAULT_LAMBDA_GRID = [10 ** (i / 16) for i in range(1, 41, 4)]
@@ -91,6 +91,7 @@ def cmd_selftrain(args, parser) -> int:
     if y.n_observed == 0:
         return _fail(f"no ratings to train on in {args.input}")
     test = load_matrix(args.test) if args.test else None
+    check_inputs(y, test)  # a rejected input writes nothing
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(
@@ -251,7 +252,7 @@ def cmd_baseline_rounds(args, parser) -> int:
             return _fail(f"snapshots {first} and {second} are both round {a}")
     test = load_matrix(args.test)
     # one snapshot in memory at a time: rounds_experiment iterates once
-    matrices = (strip_overlap(load_matrix(f), test) for _, f in numbered)
+    matrices = (load_matrix(f) for _, f in numbered)
     snapshots = rounds_experiment(matrices, test, cfg)
     with open_text(args.out, "w") as out:
         out.write("round,mae,rmse\n")

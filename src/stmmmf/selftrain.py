@@ -282,6 +282,18 @@ def overlap_stats(prev: np.ndarray, cur: np.ndarray):
     return overlap, overlap / n_prev
 
 
+def check_inputs(y0: SparseRatingMatrix, test: Optional[SparseRatingMatrix] = None):
+    """Raise ValueError unless selftrain_loop can run on y0 and test: the
+    rating scale needs at least 3 levels for an average threshold gap, and
+    a test set must share y0's grid and hold none of its cells."""
+    if y0.max_rating < 3:
+        raise ValueError("average threshold gap needs a rating scale of at least 3")
+    if test is not None:
+        y0.check_grid(test, "training matrix")
+        if np.any(y0.contains(test.users, test.items)):
+            raise ValueError("test matrix overlaps the training matrix")
+
+
 def selftrain_loop(
     y0: SparseRatingMatrix,
     cfg: SelfTrainConfig,
@@ -297,15 +309,10 @@ def selftrain_loop(
     callback(report, model, y_in, y_out).
 
     Divergence of the inner solver ends the loop early; the reports
-    collected so far are returned with stop_reason "diverged".  A rating
-    scale below 3 has no average threshold gap and is rejected up front.
+    collected so far are returned with stop_reason "diverged".  Inputs that
+    check_inputs rejects are rejected before the first round.
     """
-    if y0.max_rating < 3:
-        raise ValueError("average threshold gap needs a rating scale of at least 3")
-    if test is not None:
-        y0.check_grid(test, "training matrix")
-        if np.any(y0.contains(test.users, test.items)):
-            raise ValueError("test matrix overlaps the training matrix")
+    check_inputs(y0, test)
     y = y0
     reports: list[IterationReport] = []
     model = None

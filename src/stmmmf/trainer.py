@@ -49,7 +49,7 @@ class TrainTrace:
     iterations: int
     converged: bool
     order_violations: int
-    # Loss evaluations: the starting point plus one per trial step.
+    # Loss evaluations: the starting point plus one per finite trial model.
     kernel_calls: int
 
 
@@ -117,19 +117,19 @@ class HingeLoss:
         return value, (reg * U - w @ V, reg * V - w_t @ U, g_theta)
 
 
-def gd_step(model: FactorModel, grads, lr: float) -> FactorModel:
-    """One descent step; thresholds follow the same update rule."""
+def gd_step(model: FactorModel, grads, lr: float) -> FactorModel | None:
+    """One descent step; thresholds follow the same update rule.  Returns
+    None when the step overflows to non-finite values."""
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    g_user, g_item, g_theta = grads
     for g in grads:
         if not np.isfinite(g).all():
             raise TrainingDivergedError("non-finite gradient entries")
-    return FactorModel(
-        model.user_factors - lr * g_user,
-        model.item_factors - lr * g_item,
-        model.thresholds - lr * g_theta,
-    )
+    params = (model.user_factors, model.item_factors, model.thresholds)
+    stepped = [a - lr * g for a, g in zip(params, grads)]
+    if not all(np.isfinite(a).all() for a in stepped):
+        return None
+    return FactorModel(*stepped)
 
 
 def initial_model(y: SparseRatingMatrix, n_factors: int, seed: int) -> FactorModel:
@@ -155,11 +155,12 @@ def train(y: SparseRatingMatrix, cfg):
 
     cfg is a selftrain.SelfTrainConfig, which validates the fields read
     here: n_factors, reg, lr, gd_iters, tol and seed.  Runs at most
-    cfg.gd_iters descent steps.  A step that would raise the objective is
-    retried with a halved step size; the step size is restored to cfg.lr
-    every 10 accepted steps.  Stops early once the relative objective
-    decrease falls below cfg.tol.  Returns (model, trace) with a
-    non-increasing accepted-objective sequence.
+    cfg.gd_iters descent steps.  A step that would raise the objective, or
+    that overflows to a non-finite model or objective, is retried with a
+    halved step size; the step size is restored to cfg.lr every 10
+    accepted steps.  Stops early once the relative objective decrease falls
+    below cfg.tol.  Returns (model, trace) with a non-increasing
+    accepted-objective sequence.
     """
     if y.n_observed == 0:
         raise ValueError("cannot train on an empty rating matrix")
@@ -177,12 +178,15 @@ def train(y: SparseRatingMatrix, cfg):
     for _ in range(cfg.gd_iters):
         proposal = None
         while lr >= _MIN_LR:
-            candidate = gd_step(model, grads, lr)
-            value, candidate_grads = loss(candidate)
-            kernel_calls += 1
-            if np.isfinite(value) and value <= current:
-                proposal = (candidate, value, candidate_grads)
-                break
+            # An overflowing trial is rejected, so NumPy need not warn of it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                candidate = gd_step(model, grads, lr)
+                if candidate is not None:
+                    value, candidate_grads = loss(candidate)
+                    kernel_calls += 1
+                    if np.isfinite(value) and value <= current:
+                        proposal = (candidate, value, candidate_grads)
+                        break
             lr *= 0.5
         if proposal is None:
             break

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import stmmmf as st
-from stmmmf.baseline import BaselineConfig, rounds_experiment, strip_overlap
+from stmmmf.baseline import BaselineConfig, rounds_experiment
 from stmmmf.core import FactorModel, SparseRatingMatrix, discretize_rows
 from stmmmf.evaluation import confusion, hr_at_k, hr_table, snapshot, split
 from stmmmf.ingest import load_matrix, parse_ml100k, preprocess, save_matrix
@@ -252,7 +252,7 @@ def test_minority_label_hit_rate_rises(desk_run):
 @pytest.mark.slow
 @criterion(8, "augmented matrices improve the biased-MF baseline")
 def test_baseline_transfer(desk_run):
-    rounds = [strip_overlap(m, desk_run.test) for m in desk_run.snapshots[:11]]
+    rounds = desk_run.snapshots[:11]
     assert len(rounds) == 11
     metrics = rounds_experiment(rounds, desk_run.test, BaselineConfig(seed=0))
     round0 = metrics[0].mae

@@ -10,7 +10,6 @@ from stmmmf.baseline import (
     _loss,
     predict_baseline_many,
     rounds_experiment,
-    strip_overlap,
     train_baseline,
 )
 from stmmmf.core import ROW_DOT_BLOCK as _LOSS_BLOCK
@@ -173,11 +172,12 @@ def test_rounds_experiment_shapes_and_determinism():
     assert twice[0] == twice[1]
 
 
-def test_rounds_experiment_rejects_overlap():
+def test_rounds_experiment_drops_test_cells():
     full = rank_one_matrix()
     train_m, test_m = split(full, 0.8, seed=2)
-    with pytest.raises(ValueError):
-        rounds_experiment([full], test_m, BaselineConfig(epochs=1))
+    cfg = BaselineConfig(n_factors=2, epochs=10, seed=3)
+    # full is train_m plus an entry on every test cell
+    assert rounds_experiment([full], test_m, cfg) == rounds_experiment([train_m], test_m, cfg)
 
 
 def test_rounds_experiment_rejects_other_grid():
@@ -186,17 +186,6 @@ def test_rounds_experiment_rejects_other_grid():
     wider = SparseRatingMatrix(8, 7, 5, train_m.users, train_m.items, train_m.ratings)
     with pytest.raises(ValueError, match="differ"):
         rounds_experiment([wider], test_m, BaselineConfig(epochs=1))
-    with pytest.raises(ValueError, match="differ"):
-        strip_overlap(wider, test_m)
-
-
-def test_strip_overlap_removes_only_test_cells():
-    full = rank_one_matrix()
-    train_m, test_m = split(full, 0.8, seed=2)
-    assert strip_overlap(train_m, test_m) is train_m  # already disjoint
-    cleaned = strip_overlap(full, test_m)
-    assert cleaned.n_observed == full.n_observed - test_m.n_observed
-    assert not np.any(cleaned.contains(test_m.users, test_m.items))
 
 
 def test_empty_training_rejected():

@@ -217,6 +217,34 @@ def test_selftrain_on_empty_matrix_is_an_error_line(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_selftrain_rejects_a_short_rating_scale_before_writing(tmp_path, capsys):
+    small = tmp_path / "y.stmat"
+    save_matrix(SparseRatingMatrix.from_triples(3, 3, 2, [(0, 0, 1), (1, 1, 2), (2, 2, 1)]), small)
+    assert run(["selftrain", small, "--out-dir", tmp_path / "run", "--snapshot-every", "1"]) == 1
+    assert "rating scale of at least 3" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_selftrain_rejects_a_test_set_on_another_grid_before_writing(toy_files, capsys):
+    tmp_path, train_path, test_path = toy_files
+    test_m = load_matrix(test_path)
+    wider = tmp_path / "wider.stmat"
+    save_matrix(SparseRatingMatrix(test_m.n_users, test_m.n_items + 1, test_m.max_rating,
+                                   test_m.users, test_m.items, test_m.ratings), wider)
+    args = selftrain_args(tmp_path, train_path, wider) + ["--snapshot-every", "1"]
+    assert run(args) == 1
+    assert "differs" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_selftrain_rejects_a_test_set_overlapping_training_before_writing(toy_files, capsys):
+    tmp_path, train_path, _ = toy_files
+    args = selftrain_args(tmp_path, train_path, train_path) + ["--snapshot-every", "1"]
+    assert run(args) == 1
+    assert "overlaps the training matrix" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_selftrain_snapshots(toy_files):
     tmp_path, train_path, test_path = toy_files
     args = selftrain_args(tmp_path, train_path, test_path) + ["--snapshot-every", "1"]

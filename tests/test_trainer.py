@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -352,6 +353,47 @@ def test_train_evaluates_once_per_trial_step(monkeypatch):
             current = value
             accepted.append(value)
     assert [values[0], *accepted] == list(trace.objectives)
+
+
+def test_train_restores_the_step_size_every_ten_accepted_steps(monkeypatch):
+    steps = []
+
+    def recorded(model, grads, lr):
+        steps.append(lr)
+        return gd_step(model, grads, lr)
+
+    monkeypatch.setattr(trainer, "gd_step", recorded)
+    y = planted_matrix(planted_model(12, 10, rank=2, seed=1), 0.7, seed=2)
+    # lr 0.2 is rejected once and 0.1 then holds until the restore at the
+    # tenth accepted step, where 0.2 is tried (and rejected) again
+    cfg = SelfTrainConfig(n_factors=3, reg=0.2, lr=0.2, gd_iters=12, tol=0.0, seed=5)
+    _, trace = train(y, cfg)
+    assert steps == [0.2] * 5 + [0.1] * 6 + [0.2] + [0.1] * 2
+    assert trace.iterations == 12 and trace.kernel_calls == 1 + 12 + 2
+
+
+def test_train_backtracks_a_step_that_overflows_the_model():
+    y = planted_matrix(planted_model(30, 40, 3, seed=1), 0.3, seed=2)
+    # the first trial steps overflow the factors themselves
+    model, trace = train(y, SelfTrainConfig(lr=1e308, gd_iters=3))
+    assert trace.iterations == 3
+    assert trace.objectives[-1] < trace.objectives[0]
+
+
+def test_train_backtracks_an_overflowing_objective_without_warnings():
+    y = planted_matrix(planted_model(30, 40, 3, seed=1), 0.3, seed=2)
+    # the first trial models are finite, but their objectives overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = train(y, SelfTrainConfig(lr=1e300, gd_iters=3))
+    assert trace.iterations == 3
+
+
+def test_gd_step_returns_none_on_overflow():
+    model = tiny_model(1, 1, 0)
+    grads = (np.array([[1e300]]), np.zeros((1, 1)), np.zeros((1, 1)))
+    with np.errstate(over="ignore"):
+        assert gd_step(model, grads, 1e300) is None
 
 
 @pytest.mark.parametrize("max_rating", [2, 5, 10])
