@@ -1,57 +1,12 @@
 """Ordinal maximum-margin matrix factorization with a self-training loop
-that augments confident predictions and refines noisy observations."""
+that augments confident predictions and refines noisy observations.
 
-from .core import (
-    FactorModel,
-    SparseRatingMatrix,
-    avg_threshold_gaps,
-    smooth_hinge,
-    smooth_hinge_grad,
-    t_indicator,
-)
-from .trainer import (
-    TrainingDivergedError,
-    TrainTrace,
-    gd_step,
-    load_checkpoint,
-    predict_ratings,
-    save_checkpoint,
-    train,
-)
-from .selftrain import (
-    IterationReport,
-    SelfTrainConfig,
-    SelfTrainResult,
-    apply_augment,
-    candidate_levels,
-    low_confidence_observed,
-    overlap_stats,
-    sample_augment,
-    selftrain_loop,
-    skew_allocation,
-)
-from .evaluation import (
-    MetricsSnapshot,
-    confusion,
-    hr_at_k,
-    hr_table,
-    split,
-)
-from .ingest import (
-    ParseError,
-    PreprocessResult,
-    RawRatings,
-    load_matrix,
-    parse_ml100k,
-    parse_ml1m,
-    preprocess,
-    save_matrix,
-)
-from .baseline import (
-    BaselineConfig,
-    BaselineModel,
-    rounds_experiment,
-    train_baseline,
-)
+The top level holds the names the README and the demos use; everything
+else is imported from its module."""
+
+from .core import FactorModel, avg_threshold_gaps
+from .trainer import predict_ratings, train
+from .selftrain import SelfTrainConfig, selftrain_loop
+from .evaluation import confusion, hr_table, split
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Domain types and math kernels for ordinal maximum-margin factorization.
 
 Holds the sparse rating matrix, the factor/threshold model, and the pure
-functions everything else composes: smooth hinge loss and its derivative,
-the per-threshold sign indicator, score-to-rating discretization, and the
-per-user average threshold gaps used for confidence bands.
+functions everything else composes: blocked row dot products,
+score-to-rating discretization, and the per-user average threshold gaps
+used for confidence bands.
 """
 
 from __future__ import annotations
@@ -148,13 +148,6 @@ class SparseRatingMatrix:
         pos = np.minimum(np.searchsorted(obs, keys), obs.size - 1)
         return obs[pos] == keys
 
-    def to_dense(self) -> np.ndarray:
-        """Dense (n_users, n_items) ratings with 0 for unobserved cells, in the
-        narrowest unsigned dtype that holds max_rating (uint8 up to 255)."""
-        dense = np.zeros((self.n_users, self.n_items), dtype=np.min_scalar_type(self.max_rating))
-        dense[self.users, self.items] = self.ratings
-        return dense
-
     def rating_shares(self) -> np.ndarray:
         """Fraction of observed entries at each rating level (length R)."""
         if self.n_observed == 0:
@@ -256,33 +249,6 @@ class FactorModel:
             raise ValueError("model and matrix dimensions differ")
         if self.max_rating != y.max_rating:
             raise ValueError("model and matrix rating scales differ")
-
-
-def smooth_hinge(z):
-    """Smooth hinge loss: 0 for z >= 1, quadratic on (0, 1), linear below.
-
-    Continuously differentiable, non-negative, non-increasing, 1-Lipschitz.
-    Accepts scalars or arrays.  With c = clip(z, 0, 1) the loss is
-    0.5 * (1 - c)^2 - min(z, 0), the same bits as the piecewise form.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    out = 0.5 * (1.0 - np.clip(z, 0.0, 1.0)) ** 2 - np.minimum(z, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def smooth_hinge_grad(z):
-    """Derivative of smooth_hinge, clip(z, 0, 1) - 1; always in [-1, 0]."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.clip(z, 0.0, 1.0) - 1.0
-    return float(out) if out.ndim == 0 else out
-
-
-def t_indicator(r, y):
-    """Sign of threshold r relative to rating y: +1 when r >= y, else -1."""
-    r = np.asarray(r)
-    y = np.asarray(y)
-    out = np.where(r >= y, 1, -1)
-    return int(out) if out.ndim == 0 else out
 
 
 def discretize_rows(threshold_rows: np.ndarray, scores: np.ndarray, margin=0.0) -> np.ndarray:

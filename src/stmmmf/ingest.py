@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import operator
 import os
+import sys
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -91,6 +92,20 @@ def open_text(target, mode: str = "r"):
         except BaseException:
             os.remove(tmp)
             raise
+
+
+def _read_header(stream, magic: str, kind: str):
+    """The four counts of a `magic 1 a b c d` first line, each an integer in
+    0..sys.maxsize; anything else raises "not a recognized `kind` header"."""
+    header = stream.readline().split()
+    try:
+        counts = [int(field) for field in header[2:]]
+    except ValueError:
+        counts = []
+    if header[:2] == [magic, "1"] and len(counts) == 4 and all(
+            0 <= n <= sys.maxsize for n in counts):
+        return counts
+    raise ValueError(f"not a recognized {kind} header")
 
 
 def _read_table(lines, n_cols: int, dtype, delimiter=None, n_rows=None) -> np.ndarray:
@@ -243,10 +258,7 @@ def save_matrix(y: SparseRatingMatrix, target):
 def load_matrix(source) -> SparseRatingMatrix:
     """Read a matrix written by save_matrix, validating header and count."""
     with open_text(source) as stream:
-        header = stream.readline().split()
-        if len(header) != 6 or header[0] != MATRIX_MAGIC or header[1] != "1":
-            raise ValueError("not a recognized matrix header")
-        n_users, n_items, max_rating, count = map(int, header[2:])
+        n_users, n_items, max_rating, count = _read_header(stream, MATRIX_MAGIC, "matrix")
         table = _read_table(stream, 3, np.int64, n_rows=count)
         if any(map(str.strip, stream)):
             raise ValueError("trailing data after the declared entry count")

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .core import FactorModel, SparseRatingMatrix, discretize_rows, row_dots, t_indicator
-from .ingest import _format_rows, _read_table, open_text
+from .core import FactorModel, SparseRatingMatrix, discretize_rows, row_dots
+from .ingest import _format_rows, _read_header, _read_table, open_text
 
 CHECKPOINT_MAGIC = "STMMMF"
 
@@ -56,9 +56,10 @@ class TrainTrace:
 class HingeLoss:
     """Regularized all-threshold hinge objective of one fixed matrix y.
 
-    The objective sums smooth_hinge(T * (theta_r - x)) over every observed
-    entry and every threshold level r, plus reg/2 times the squared
-    Frobenius norms of the factor matrices.  The terms are laid out
+    The objective sums the smooth hinge h(T * (theta_r - x)) over every
+    observed entry and every threshold level r, where T is +1 when r is at
+    or above the entry's rating and -1 below it, plus reg/2 times the
+    squared Frobenius norms of the factor matrices.  The terms are laid out
     threshold-major, one row of n_observed entries per level, so every
     elementwise pass runs over long contiguous rows.  With
     c = clip(z, 0, 1) the hinge sum is 0.5 * ||c - 1||^2 - sum(min(z, 0)),
@@ -73,7 +74,7 @@ class HingeLoss:
         self.y, self.reg = y, reg
         # Row r - 1 holds T(r, rating) of every entry.
         levels = np.arange(1, y.max_rating)
-        self._t = t_indicator(levels[:, None], y.ratings).astype(np.float64)
+        self._t = np.where(levels[:, None] >= y.ratings, 1.0, -1.0)
         self._counts = y.user_counts()
         self._d = np.empty_like(self._t)
         # Entries are sorted by (user, item), so each user's entries form one
@@ -95,13 +96,13 @@ class HingeLoss:
         z = np.repeat(model.thresholds.T, self._counts, axis=1)
         z -= x
         z *= self._t
-        # smooth_hinge(z) = 0.5 * (1 - c)^2 - min(z, 0) with c = clip(z, 0, 1);
+        # h(z) = 0.5 * (1 - c)^2 - min(z, 0) with c = clip(z, 0, 1);
         # c - 1 is exactly -(1 - c), so d * d has the bits of (1 - c)^2.
         d = np.clip(z, 0.0, 1.0, out=self._d)
         d -= 1.0
         hinge = 0.5 * np.einsum("ij,ij->", d, d) - np.minimum(z, 0.0, out=z).sum()
         value = float(hinge + 0.5 * reg * (np.sum(U**2) + np.sum(V**2)))
-        # smooth_hinge_grad(z) = c - 1 = d, scaled in place by each term's sign.
+        # h'(z) = c - 1 = d, scaled in place by each term's sign.
         coef = d
         coef *= self._t
         # Each entry's weight adds its terms in threshold order from 0.0,
@@ -234,10 +235,8 @@ def save_checkpoint(model: FactorModel, target):
 def load_checkpoint(source) -> FactorModel:
     """Read a checkpoint written by save_checkpoint."""
     with open_text(source) as stream:
-        header = stream.readline().split()
-        if len(header) != 6 or header[0] != CHECKPOINT_MAGIC or header[1] != "1":
-            raise ValueError("not a recognized checkpoint header")
-        n_users, n_items, n_factors, max_rating = map(int, header[2:])
+        n_users, n_items, n_factors, max_rating = _read_header(
+            stream, CHECKPOINT_MAGIC, "checkpoint")
         u = _read_table(stream, n_factors, np.float64, n_rows=n_users)
         v = _read_table(stream, n_factors, np.float64, n_rows=n_items)
         theta = _read_table(stream, max_rating - 1, np.float64, n_rows=n_users)

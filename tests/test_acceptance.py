@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import stmmmf as st
+from oracle import dense
 from stmmmf.baseline import BaselineConfig, rounds_experiment
 from stmmmf.core import FactorModel, SparseRatingMatrix, discretize_rows
 from stmmmf.evaluation import confusion, hr_at_k, hr_table, snapshot, split
@@ -286,11 +287,11 @@ def test_property_suite():
 
     def check_added(report, loop_model, y_in, y_out):
         added = np.setdiff1d(y_out.observed_keys(), y_in.observed_keys())
-        dense = y_out.to_dense()
+        grid = dense(y_out)
         for key in added:
             u, i = divmod(int(key), y_out.n_items)
             score = float(loop_model.user_factors[u] @ loop_model.item_factors[i])
-            assert discretize_rows(loop_model.thresholds[u:u + 1], [[score]])[0, 0] == dense[u, i]
+            assert discretize_rows(loop_model.thresholds[u:u + 1], [[score]])[0, 0] == grid[u, i]
         assert report.observed + report.unobserved == cells
 
     cfg = SelfTrainConfig(

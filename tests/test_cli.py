@@ -744,6 +744,22 @@ def test_evaluate_train_grid_mismatch_is_an_error_line(toy_files, capsys):
 
 # ------------------------------------------------------------- error boundary
 
+@pytest.mark.parametrize("header, kind", [
+    ("STMAT 1 2 2 5 -1", "matrix"),
+    ("STMAT 1 a 2 5 0", "matrix"),
+    ("STMAT 1 2 2 5 99999999999999999999", "matrix"),
+    ("STMMMF 1 -2 2 1 5", "checkpoint"),
+])
+def test_malformed_header_is_one_error_line(toy_files, capsys, header, kind):
+    tmp_path, _, test_path = toy_files
+    bad = tmp_path / "bad"
+    bad.write_text(header + "\n")
+    argv = (["split", bad, "--train-out", tmp_path / "t.stmat", "--test-out", tmp_path / "e.stmat"]
+            if kind == "matrix" else ["evaluate", bad, "--test", test_path])
+    assert run(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: not a recognized {kind} header"]
+
+
 @pytest.mark.parametrize("argv, named", [
     (["ingest", "{dir}", "--out", "{dir}/y.stmat"], "{dir}"),
     (["split", "{dir}", "--train-out", "{dir}/t.stmat", "--test-out", "{dir}/e.stmat"],

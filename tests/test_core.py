@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracle import dense, smooth_hinge, smooth_hinge_grad
 from stmmmf import core
 from stmmmf.core import (
     GAP_EPS,
@@ -11,9 +12,6 @@ from stmmmf.core import (
     avg_threshold_gaps,
     discretize_rows,
     row_dots,
-    smooth_hinge,
-    smooth_hinge_grad,
-    t_indicator,
 )
 
 
@@ -129,22 +127,6 @@ def test_smooth_hinge_continuity_at_kinks():
         assert abs(left - right) < 1e-8
 
 
-# ------------------------------------------------------------------ indicator
-
-def test_t_indicator_cases():
-    assert t_indicator(3, 3) == 1
-    assert t_indicator(2, 4) == -1
-    assert t_indicator(4, 1) == 1
-
-
-def test_t_indicator_single_flip():
-    R = 5
-    for y in range(2, R):
-        signs = [t_indicator(r, y) for r in range(1, R)]
-        flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-        assert flips == 1
-
-
 # --------------------------------------------------------------- score + bins
 
 def test_discretize_examples():
@@ -250,15 +232,6 @@ def test_matrix_sorted_and_immutable():
         np.testing.assert_array_equal(got, want[order])
 
 
-def test_to_dense_is_the_narrowest_unsigned_grid():
-    y = SparseRatingMatrix.from_triples(2, 3, 5, [(0, 2, 5), (1, 0, 1)])
-    dense = y.to_dense()
-    assert dense.dtype == np.uint8
-    np.testing.assert_array_equal(dense, [[0, 0, 5], [1, 0, 0]])
-    wide = SparseRatingMatrix.from_triples(1, 2, 300, [(0, 1, 300)]).to_dense()
-    assert wide.dtype == np.uint16 and wide.tolist() == [[0, 300]]
-
-
 def sorted_cells(n_users=6, n_items=5):
     """Fresh, owned int64 columns of every other cell in (user, item) order."""
     cells = np.arange(0, n_users * n_items, 2)
@@ -328,7 +301,7 @@ def test_matrix_counts_and_mask():
     y = SparseRatingMatrix.from_triples(2, 3, 5, [(0, 0, 1), (0, 2, 5), (1, 1, 3)])
     assert y.n_observed == 3
     assert y.n_unobserved == 3
-    mask = y.to_dense() != 0
+    mask = dense(y) != 0
     assert mask.sum() == 3 and mask[0, 0] and mask[1, 1]
     assert list(y.user_counts()) == [2, 1]
     np.testing.assert_allclose(y.rating_shares(), [1 / 3, 0, 1 / 3, 0, 1 / 3])

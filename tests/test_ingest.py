@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracle import dense
 from stmmmf.core import SparseRatingMatrix
 from stmmmf.ingest import (
     ParseError,
@@ -137,17 +138,17 @@ def test_preprocess_compaction_ascending_bijection():
     result = preprocess(raw(rows), min_ratings=0)
     assert list(result.user_ids) == [7, 50]
     assert list(result.item_ids) == [30, 900]
-    dense = result.matrix.to_dense()
-    assert dense[0, 0] == 5 and dense[0, 1] == 1
-    assert dense[1, 0] == 4 and dense[1, 1] == 2
+    grid = dense(result.matrix)
+    assert grid[0, 0] == 5 and grid[0, 1] == 1
+    assert grid[1, 0] == 4 and grid[1, 1] == 2
 
 
 def test_preprocess_duplicates_keep_latest_timestamp():
     rows = [(1, 1, 2, 100), (1, 1, 5, 300), (1, 1, 3, 200), (1, 2, 4, 50)]
     result = preprocess(raw(rows), min_ratings=0)
     assert result.n_duplicates == 2
-    dense = result.matrix.to_dense()
-    assert dense[0, 0] == 5
+    grid = dense(result.matrix)
+    assert grid[0, 0] == 5
 
 
 def test_preprocess_negative_ids_would_collide_and_are_rejected():
@@ -309,10 +310,11 @@ def test_matrix_count_mismatch_rejected():
 
 
 def test_matrix_bad_header_rejected():
-    with pytest.raises(ValueError):
-        load_matrix(io.StringIO("WHAT 1 2 2 5 0\n"))
-    with pytest.raises(ValueError):
-        load_matrix(io.StringIO("STMAT 2 2 2 5 0\n"))
+    """Every count must be an integer in 0..sys.maxsize."""
+    for header in ["WHAT 1 2 2 5 0", "STMAT 2 2 2 5 0", "STMAT 1 2 2 5", "STMAT 1 2 2 5 -1",
+                   "STMAT 1 a 2 5 0", "STMAT 1 2 2 5 99999999999999999999", ""]:
+        with pytest.raises(ValueError, match="^not a recognized matrix header$"):
+            load_matrix(io.StringIO(header + "\n"))
 
 
 def test_matrix_out_of_range_entry_rejected():

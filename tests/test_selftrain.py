@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from oracle import dense
 from stmmmf.core import (
     SCORE_BLOCK, FactorModel, SparseRatingMatrix, avg_threshold_gaps, discretize_rows,
 )
@@ -172,7 +173,7 @@ def open_scan_candidates(model, y, tau):
     scores = model.user_factors @ model.item_factors.T
     n_levels = model.max_rating
     assigned = np.zeros(scores.shape, dtype=np.int64)
-    free = y.to_dense() == 0
+    free = dense(y) == 0
     lo = np.full((model.n_users, 1), -np.inf)
     for r in range(1, n_levels + 1):
         hi = model.thresholds[:, r - 1 : r] if r < n_levels else np.full((model.n_users, 1), np.inf)
@@ -292,21 +293,21 @@ def test_sample_cap_binds():
     rng = np.random.default_rng(3)
     pool = cands([(0, j, (j % 5) + 1) for j in range(200)], n_items=200)
     shares = np.bincount(pool.ratings, minlength=6)[1:] / 200
-    got = sample_augment(pool.to_dense(), shares, 100.0, 50, rng)
+    got = sample_augment(dense(pool), shares, 100.0, 50, rng)
     assert len(got) == 50
 
 
 def test_sample_everything_when_unconstrained():
     rng = np.random.default_rng(4)
     pool = cands([(0, j, (j % 5) + 1) for j in range(10)])
-    got = sample_augment(pool.to_dense(), [0.2] * 5, 100.0, 10**9, rng)
+    got = sample_augment(dense(pool), [0.2] * 5, 100.0, 10**9, rng)
     assert len(got) == 10
 
 
 def test_sample_percentage_floor():
     rng = np.random.default_rng(5)
     pool = cands([(0, j, (j % 5) + 1) for j in range(99)], n_items=99)
-    got = sample_augment(pool.to_dense(), [0.2] * 5, 10.0, 10**9, rng)
+    got = sample_augment(dense(pool), [0.2] * 5, 10.0, 10**9, rng)
     assert len(got) == 9  # floor(99 * 0.10)
 
 
@@ -315,7 +316,7 @@ def test_sample_redistributes_to_available_labels():
     # nothing; redistribution must still fill the target from label 1
     rng = np.random.default_rng(6)
     pool = cands([(0, j, 1) for j in range(30)], n_items=30, max_rating=3)
-    got = sample_augment(pool.to_dense(), [1.0, 0.0, 0.0], 100.0, 12, rng)
+    got = sample_augment(dense(pool), [1.0, 0.0, 0.0], 100.0, 12, rng)
     assert len(got) == 12
     assert np.all(got.ratings == 1)
 
@@ -379,8 +380,8 @@ def test_sample_on_the_grid_picks_the_matrix_paths_cells(seed, sample_pct, cap):
 def test_sample_deterministic_per_rng_seed():
     pool = cands([(0, j, (j % 5) + 1) for j in range(500)], n_items=500)
     shares = [0.2] * 5
-    a = sample_augment(pool.to_dense(), shares, 50.0, 100, np.random.default_rng(9))
-    b = sample_augment(pool.to_dense(), shares, 50.0, 100, np.random.default_rng(9))
+    a = sample_augment(dense(pool), shares, 50.0, 100, np.random.default_rng(9))
+    b = sample_augment(dense(pool), shares, 50.0, 100, np.random.default_rng(9))
     np.testing.assert_array_equal(a.items, b.items)
 
 
@@ -391,7 +392,7 @@ def test_apply_augment_identity_and_count():
     assert apply_augment(y, cands([], n_items=4)) is y
     grown = apply_augment(y, cands([(2, 2, 4), (3, 0, 1)], n_items=4))
     assert grown.n_observed == 4
-    assert grown.to_dense()[2, 2] == 4
+    assert dense(grown)[2, 2] == 4
 
 
 def test_apply_augment_collision_rejected():
@@ -414,7 +415,7 @@ def test_refined_cell_becomes_augmentable():
     smaller = y.select(~np.array([True, False]))
     assert smaller.n_observed == 1
     regrown = apply_augment(smaller, cands([(0, 0, 2)], n_items=2))
-    assert regrown.to_dense()[0, 0] == 2
+    assert dense(regrown)[0, 0] == 2
 
 
 # --------------------------------------------------------------- overlap
@@ -423,18 +424,18 @@ def test_overlap_stats_cases():
     a, b, c, d = (0, 0, 1), (0, 1, 2), (0, 2, 3), (0, 3, 4)
     prev = cands([a, b, c])
     cur = cands([b, c, d])
-    assert overlap_stats(prev.to_dense(), cur.to_dense()) == (2, pytest.approx(2 / 3))
-    assert overlap_stats(cands([]).to_dense(), cur.to_dense()) == (0, 0.0)
+    assert overlap_stats(dense(prev), dense(cur)) == (2, pytest.approx(2 / 3))
+    assert overlap_stats(dense(cands([])), dense(cur)) == (0, 0.0)
 
 
 def test_overlap_requires_exact_triple():
     prev = cands([(0, 0, 1)])
     cur = cands([(0, 0, 2)])  # same cell, different rating
-    assert overlap_stats(prev.to_dense(), cur.to_dense()) == (0, 0.0)
+    assert overlap_stats(dense(prev), dense(cur)) == (0, 0.0)
 
 
 def test_overlap_rejects_grid_of_another_shape():
-    cur = cands([(0, 0, 1)]).to_dense()  # 10 x 10
+    cur = dense(cands([(0, 0, 1)]))  # 10 x 10
     for shape in ((10, 11), (11, 10), (100,)):
         with pytest.raises(ValueError, match="differs"):
             overlap_stats(np.ones(shape, dtype=np.uint8), cur)
@@ -576,7 +577,7 @@ def test_loop_augmented_triples_rediscretize_to_their_rating():
 
     def check(report, model, y_in, y_out):
         added_keys = np.setdiff1d(y_out.observed_keys(), y_in.observed_keys())
-        dense_out = y_out.to_dense()
+        dense_out = dense(y_out)
         for key in added_keys:
             u, i = divmod(int(key), y_out.n_items)
             score = float(model.user_factors[u] @ model.item_factors[i])

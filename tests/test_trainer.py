@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from oracle import smooth_hinge, smooth_hinge_grad
 from stmmmf import core, trainer
-from stmmmf.core import (
-    FactorModel,
-    SparseRatingMatrix,
-    smooth_hinge,
-    smooth_hinge_grad,
-)
+from stmmmf.core import FactorModel, SparseRatingMatrix
 from stmmmf.selftrain import SelfTrainConfig
 from stmmmf.synthetic import planted_matrix, planted_model
 from stmmmf.trainer import (
@@ -547,8 +543,11 @@ def test_checkpoint_header_format(tmp_path):
 
 
 def test_checkpoint_rejects_corrupt_header():
-    with pytest.raises(ValueError):
-        load_checkpoint(io.StringIO("NOPE 1 1 1 1 2\n"))
+    """Every count must be an integer in 0..sys.maxsize."""
+    for header in ["NOPE 1 1 1 1 2", "STMMMF 2 1 1 1 2", "STMMMF 1 -2 2 1 5", "STMMMF 1 1 1 x 2",
+                   "STMMMF 1 1 1 1 99999999999999999999", "STMMMF 1 1 1 1 2 0"]:
+        with pytest.raises(ValueError, match="^not a recognized checkpoint header$"):
+            load_checkpoint(io.StringIO(header + "\n"))
 
 
 def test_checkpoint_rejects_trailing_data():
