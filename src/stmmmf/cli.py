@@ -93,13 +93,17 @@ def cmd_selftrain(args, parser) -> int:
     test = load_matrix(args.test) if args.test else None
     check_inputs(y, test)  # a rejected input writes nothing
     out_dir = Path(args.out_dir)
+    snap_dir = out_dir / "snapshots"
+    # baseline-rounds reads every snapshot there, so an earlier run's must not mix in
+    if args.snapshot_every > 0 and any(snap_dir.glob("round_*.stmat")):
+        return _fail(f"{snap_dir} already holds round_*.stmat snapshots; "
+                     "choose a new --out-dir")
     out_dir.mkdir(parents=True, exist_ok=True)
     print(
         f"tau_augment={cfg.tau_augment:.6g} tau_refine={cfg.tau_refine:.6g} "
         f"sample_pct={cfg.sample_pct:g} cap={cfg.cap} rounds={cfg.max_rounds} "
         f"seed={cfg.seed}"
     )
-    snap_dir = out_dir / "snapshots"
     if args.snapshot_every > 0:
         snap_dir.mkdir(exist_ok=True)
         save_matrix(y, snap_dir / "round_000.stmat")

@@ -17,9 +17,6 @@ import numpy as np
 # well-formed when a learned threshold row collapses or inverts.
 GAP_EPS = 1e-6
 
-# Users per block of the dense score matmul in FactorModel.score_blocks.
-SCORE_BLOCK = 256
-
 # Rows per block of the gathers in row_dots.
 ROW_DOT_BLOCK = 4096
 
@@ -236,12 +233,6 @@ class FactorModel:
     def scores(self, users, items) -> np.ndarray:
         """Scores U[users] . V[items] of (user, item) index arrays."""
         return row_dots(self.user_factors, users, self.item_factors, items)
-
-    def score_blocks(self):
-        """Yield (rows, U[rows] @ V.T) for consecutive slices of SCORE_BLOCK users."""
-        for start in range(0, self.n_users, SCORE_BLOCK):
-            rows = slice(start, start + SCORE_BLOCK)
-            yield rows, self.user_factors[rows] @ self.item_factors.T
 
     def check_matches(self, y: SparseRatingMatrix):
         """Raise ValueError unless y has this model's users, items and scale."""

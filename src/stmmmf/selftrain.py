@@ -19,6 +19,9 @@ from .core import FactorModel, SparseRatingMatrix, avg_threshold_gaps, discretiz
 from .evaluation import snapshot
 from .trainer import TrainingDivergedError, predict_ratings, train
 
+# Users per block of the dense score matmul in candidate_levels.
+SCORE_BLOCK = 256
+
 REPORT_CSV_COLUMNS = [
     "iter", "observed", "unobserved", "candidates", "augmented",
     "refined", "overlap", "retained_frac", "test_mae", "test_rmse",
@@ -139,7 +142,9 @@ def candidate_levels(model: FactorModel, y: SparseRatingMatrix, tau_augment: flo
     gaps, _ = avg_threshold_gaps(model)
     margin = gaps * tau_augment
     grid = np.empty((y.n_users, y.n_items), dtype=np.min_scalar_type(y.max_rating))
-    for rows, scores in model.score_blocks():
+    for start in range(0, y.n_users, SCORE_BLOCK):
+        rows = slice(start, start + SCORE_BLOCK)
+        scores = model.user_factors[rows] @ model.item_factors.T
         grid[rows] = discretize_rows(model.thresholds[rows], scores, margin[rows])
     grid[y.users, y.items] = 0
     return grid
@@ -302,49 +307,41 @@ def selftrain_loop(
 ) -> SelfTrainResult:
     """Run the augment-and-refine rounds until a stop criterion fires.
 
-    Stops at cfg.max_rounds, when the candidate set comes back empty, or
-    when test MAE has worsened for cfg.patience consecutive rounds.  The
-    test matrix is never read by training or modified.  `callback`, when
-    given, is invoked after each round as
-    callback(report, model, y_in, y_out).
+    Stops at cfg.max_rounds, when the candidate set comes back empty, when
+    the training matrix is empty, or when test MAE has risen strictly for
+    cfg.patience consecutive rounds.  The test matrix is never read by
+    training or modified.  `callback`, when given, is invoked after each
+    round as callback(report, model, y_in, y_out).
 
     Divergence of the inner solver ends the loop early; the reports
     collected so far are returned with stop_reason "diverged".  Inputs that
     check_inputs rejects are rejected before the first round.
     """
     check_inputs(y0, test)
-    y = y0
+    y, model, prev_levels = y0, None, None  # prev_levels: the previous round's candidate grid
     reports: list[IterationReport] = []
-    model = None
-    prev_levels = None  # the previous round's candidate grid
-    prev_mae = None
-    worse_streak = 0
-    stop_reason = "max_rounds"
     for iteration in range(1, cfg.max_rounds + 1):
         if y.n_observed == 0:
-            stop_reason = "empty_training_set"
-            break
+            return SelfTrainResult(model, reports, "empty_training_set")
         try:
             model, trace = train(y, cfg)
         except TrainingDivergedError:
-            stop_reason = "diverged"
-            break
+            return SelfTrainResult(model, reports, "diverged")
         _, n_clamped = avg_threshold_gaps(model)
         levels = candidate_levels(model, y, cfg.tau_augment)
         low = low_confidence_observed(model, y, cfg.tau_refine)
         rng = np.random.default_rng([cfg.seed, iteration])
         selected = sample_augment(levels, y.rating_shares(), cfg.sample_pct, cfg.cap, rng)
         y_next = apply_augment(y.select(~low), selected)
-        overlap = retained = None
-        if prev_levels is not None:
-            overlap, retained = overlap_stats(prev_levels, levels)
+        overlap, retained = (
+            (None, None) if prev_levels is None else overlap_stats(prev_levels, levels))
         test_mae = test_rmse = test_pseudo = None
         if test is not None:
             test_pseudo = int(y.contains(test.users, test.items).sum())
-        if test is not None and test.n_observed:
-            preds = predict_ratings(model, test.users, test.items, trained_on=y)
-            metrics = snapshot(np.column_stack([test.ratings, preds]))
-            test_mae, test_rmse = metrics.mae, metrics.rmse
+            if test.n_observed:
+                preds = predict_ratings(model, test.users, test.items, trained_on=y)
+                metrics = snapshot(np.column_stack([test.ratings, preds]))
+                test_mae, test_rmse = metrics.mae, metrics.rmse
         report = IterationReport(
             iteration=iteration,
             observed=y.n_observed,
@@ -367,18 +364,13 @@ def selftrain_loop(
         reports.append(report)
         if callback is not None:
             callback(report, model, y, y_next)
-        prev_levels = levels
-        y = y_next
+        prev_levels, y = levels, y_next
         if report.candidates == 0:
-            stop_reason = "no_candidates"
-            break
-        if test_mae is not None:
-            if prev_mae is not None and test_mae > prev_mae:
-                worse_streak += 1
-            else:
-                worse_streak = 0
-            prev_mae = test_mae
-            if worse_streak >= cfg.patience:
-                stop_reason = "test_mae_degrading"
-                break
-    return SelfTrainResult(model=model, reports=reports, stop_reason=stop_reason)
+            return SelfTrainResult(model, reports, "no_candidates")
+        # A tie or a fall resets the streak, so patience rising rounds
+        # in a row means the last patience + 1 MAEs strictly rise.
+        maes = [r.test_mae for r in reports[-cfg.patience - 1:]]
+        if len(maes) > cfg.patience and None not in maes and all(
+                a < b for a, b in zip(maes, maes[1:])):
+            return SelfTrainResult(model, reports, "test_mae_degrading")
+    return SelfTrainResult(model, reports, "max_rounds")

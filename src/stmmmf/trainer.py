@@ -173,11 +173,9 @@ def train(y: SparseRatingMatrix, cfg):
         raise TrainingDivergedError("initial objective is not finite")
     objectives = [current]
     lr = cfg.lr
-    accepted = 0
     violations = 0
     converged = False
     for _ in range(cfg.gd_iters):
-        proposal = None
         while lr >= _MIN_LR:
             # An overflowing trial is rejected, so NumPy need not warn of it.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -186,13 +184,11 @@ def train(y: SparseRatingMatrix, cfg):
                     value, candidate_grads = loss(candidate)
                     kernel_calls += 1
                     if np.isfinite(value) and value <= current:
-                        proposal = (candidate, value, candidate_grads)
                         break
             lr *= 0.5
-        if proposal is None:
+        else:  # no step size down to _MIN_LR lowers the objective
             break
-        model, value, grads = proposal
-        accepted += 1
+        model, grads = candidate, candidate_grads
         objectives.append(value)
         violations += int(
             np.count_nonzero(np.any(np.diff(model.thresholds, axis=1) < 0, axis=1))
@@ -202,10 +198,10 @@ def train(y: SparseRatingMatrix, cfg):
         if rel_drop < cfg.tol:
             converged = True
             break
-        if accepted % _LR_RESTORE_EVERY == 0:
+        if (len(objectives) - 1) % _LR_RESTORE_EVERY == 0:
             lr = cfg.lr
-    trace = TrainTrace(np.array(objectives), accepted, converged, violations, kernel_calls)
-    return model, trace
+    return model, TrainTrace(np.array(objectives), len(objectives) - 1, converged, violations,
+                             kernel_calls)
 
 
 def predict_ratings(model: FactorModel, users, items, trained_on=None) -> np.ndarray:
@@ -233,10 +229,13 @@ def save_checkpoint(model: FactorModel, target):
 
 
 def load_checkpoint(source) -> FactorModel:
-    """Read a checkpoint written by save_checkpoint."""
+    """Read a checkpoint written by save_checkpoint.  A header with no user,
+    item or factor, or with R below 2, is rejected before any row is read."""
     with open_text(source) as stream:
         n_users, n_items, n_factors, max_rating = _read_header(
             stream, CHECKPOINT_MAGIC, "checkpoint")
+        if min(n_users, n_items, n_factors) < 1 or max_rating < 2:
+            raise ValueError("not a recognized checkpoint header")
         u = _read_table(stream, n_factors, np.float64, n_rows=n_users)
         v = _read_table(stream, n_factors, np.float64, n_rows=n_items)
         theta = _read_table(stream, max_rating - 1, np.float64, n_rows=n_users)

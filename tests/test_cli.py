@@ -254,6 +254,21 @@ def test_selftrain_snapshots(toy_files):
     assert load_matrix(snaps[0]).content_hash() == load_matrix(train_path).content_hash()
 
 
+def test_selftrain_refuses_snapshots_of_an_earlier_run(toy_files, capsys):
+    tmp_path, train_path, test_path = toy_files
+    args = selftrain_args(tmp_path, train_path, test_path) + ["--snapshot-every", "1"]
+    assert run(args) == 0
+    run_dir = tmp_path / "run"
+    before = {f: f.read_bytes() for f in run_dir.rglob("*") if f.is_file()}
+    capsys.readouterr()
+    again = selftrain_args(tmp_path, train_path, test_path, iters="1", tau1="30")
+    assert run(again + ["--snapshot-every", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {run_dir / 'snapshots'} already holds round_*.stmat snapshots; "
+        "choose a new --out-dir"]
+    assert {f: f.read_bytes() for f in run_dir.rglob("*") if f.is_file()} == before
+
+
 def test_selftrain_negative_snapshot_every_is_usage_error(toy_files, capsys):
     tmp_path, train_path, test_path = toy_files
     args = selftrain_args(tmp_path, train_path, test_path) + ["--snapshot-every", "-1"]
@@ -749,6 +764,10 @@ def test_evaluate_train_grid_mismatch_is_an_error_line(toy_files, capsys):
     ("STMAT 1 a 2 5 0", "matrix"),
     ("STMAT 1 2 2 5 99999999999999999999", "matrix"),
     ("STMMMF 1 -2 2 1 5", "checkpoint"),
+    ("STMMMF 1 0 0 0 0", "checkpoint"),
+    ("STMMMF 1 2 2 1 1", "checkpoint"),
+    ("STMMMF 1 2 2 0 5", "checkpoint"),
+    ("STMMMF 1 0 2 1 5", "checkpoint"),
 ])
 def test_malformed_header_is_one_error_line(toy_files, capsys, header, kind):
     tmp_path, _, test_path = toy_files

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from oracle import dense
-from stmmmf.core import (
-    SCORE_BLOCK, FactorModel, SparseRatingMatrix, avg_threshold_gaps, discretize_rows,
-)
+from stmmmf.core import FactorModel, SparseRatingMatrix, avg_threshold_gaps, discretize_rows
 from stmmmf import selftrain
 from stmmmf.evaluation import MetricsSnapshot, split
 from stmmmf.selftrain import (
+    SCORE_BLOCK,
     SelfTrainConfig,
     apply_augment,
     candidate_levels,
@@ -636,21 +635,65 @@ def test_loop_rejects_a_two_level_scale_before_any_solve(monkeypatch):
         selftrain_loop(y, loop_config())
 
 
+def patch_test_maes(monkeypatch, maes):
+    """Make the loop's round-by-round test MAEs read `maes` in turn."""
+    maes = iter(maes)
+    monkeypatch.setattr(selftrain, "snapshot",
+                        lambda pairs: MetricsSnapshot(mae=next(maes), rmse=1.0))
+
+
 def test_loop_stops_after_patience_worse_rounds(monkeypatch):
     train_m, test_m = small_problem()
     # round 3 is worse, round 4 better again, rounds 5-7 worse in a row
-    maes = iter([0.9, 0.5, 0.6, 0.55, 0.7, 0.8, 0.9, 1.0])
-
-    def rising_snapshot(pairs):
-        return MetricsSnapshot(mae=next(maes), rmse=1.0)
-
-    monkeypatch.setattr(selftrain, "snapshot", rising_snapshot)
+    patch_test_maes(monkeypatch, [0.9, 0.5, 0.6, 0.55, 0.7, 0.8, 0.9, 1.0])
     models = []
     result = selftrain_loop(train_m, loop_config(max_rounds=8, patience=3), test_m,
                             callback=lambda report, model, y_in, y_out: models.append(model))
     assert result.stop_reason == "test_mae_degrading"
     assert [r.test_mae for r in result.reports] == [0.9, 0.5, 0.6, 0.55, 0.7, 0.8, 0.9]
     assert result.model is models[-1]
+
+
+def test_a_tied_test_mae_resets_the_patience_streak(monkeypatch):
+    train_m, test_m = small_problem()
+    patch_test_maes(monkeypatch, [0.5, 0.6, 0.6, 0.7, 0.8, 0.9])
+    result = selftrain_loop(train_m, loop_config(max_rounds=6, patience=2), test_m)
+    assert result.stop_reason == "test_mae_degrading"
+    assert len(result.reports) == 5
+
+
+def test_no_candidates_wins_over_a_rising_test_mae(monkeypatch):
+    train_m, test_m = small_problem()
+    patch_test_maes(monkeypatch, [0.5, 0.6, 0.7])
+    build, rounds = selftrain.candidate_levels, []
+
+    def empty_on_round_3(*args):
+        rounds.append(None)
+        grid = build(*args)
+        return np.zeros_like(grid) if len(rounds) == 3 else grid
+
+    monkeypatch.setattr(selftrain, "candidate_levels", empty_on_round_3)
+    result = selftrain_loop(train_m, loop_config(max_rounds=5, patience=2), test_m)
+    assert result.stop_reason == "no_candidates"
+    assert [r.candidates == 0 for r in result.reports] == [False, False, True]
+
+
+def test_a_patience_stop_on_the_last_round_names_the_test_mae(monkeypatch):
+    train_m, test_m = small_problem()
+    patch_test_maes(monkeypatch, [0.5, 0.6, 0.7])
+    result = selftrain_loop(train_m, loop_config(max_rounds=3, patience=2), test_m)
+    assert result.stop_reason == "test_mae_degrading"
+    assert len(result.reports) == 3
+
+
+def test_an_empty_test_matrix_never_stops_the_loop_on_patience(monkeypatch):
+    train_m, _ = small_problem()
+    empty = SparseRatingMatrix.from_triples(train_m.n_users, train_m.n_items,
+                                            train_m.max_rating, [])
+    patch_test_maes(monkeypatch, [0.5, 0.6, 0.7])  # never read: nothing to score
+    result = selftrain_loop(train_m, loop_config(max_rounds=3, patience=1), empty)
+    assert result.stop_reason == "max_rounds"
+    assert [(r.test_mae, r.test_pseudo) for r in result.reports] == [(None, 0)] * 3
 
 
 def diverge_on_second_call(monkeypatch):

@@ -543,11 +543,15 @@ def test_checkpoint_header_format(tmp_path):
 
 
 def test_checkpoint_rejects_corrupt_header():
-    """Every count must be an integer in 0..sys.maxsize."""
+    """Every count must be an integer in 0..sys.maxsize, and the header must
+    describe a model: a user, an item, a factor and R >= 2.  The two value
+    lines would complete a model with no users."""
     for header in ["NOPE 1 1 1 1 2", "STMMMF 2 1 1 1 2", "STMMMF 1 -2 2 1 5", "STMMMF 1 1 1 x 2",
-                   "STMMMF 1 1 1 1 99999999999999999999", "STMMMF 1 1 1 1 2 0"]:
+                   "STMMMF 1 1 1 1 99999999999999999999", "STMMMF 1 1 1 1 2 0",
+                   "STMMMF 1 0 0 0 0", "STMMMF 1 2 2 1 1", "STMMMF 1 2 2 0 5",
+                   "STMMMF 1 0 2 1 5", "STMMMF 1 2 0 1 5"]:
         with pytest.raises(ValueError, match="^not a recognized checkpoint header$"):
-            load_checkpoint(io.StringIO(header + "\n"))
+            load_checkpoint(io.StringIO(header + "\n0\n0\n"))
 
 
 def test_checkpoint_rejects_trailing_data():
