@@ -13,7 +13,6 @@ import numpy as np
 
 from .core import SparseRatingMatrix, row_dots
 from .evaluation import MetricsSnapshot, snapshot
-from .trainer import TrainingDivergedError
 
 # Ratings per mini-batch of train_baseline's gradient passes.
 BATCH_SIZE = 1024
@@ -69,8 +68,10 @@ def train_baseline(y: SparseRatingMatrix, cfg: BaselineConfig) -> BaselineModel:
     """Fit by shuffled mini-batch gradient passes, deterministic per seed.
 
     The epoch loss is monitored and the learning rate is halved whenever
-    it increases.  epochs=0 leaves a global-mean-only model (bias terms
-    zero, factors at their tiny random start).
+    it increases; an epoch loss that is not finite (an lr so large that
+    the steps overflow) raises ValueError.  epochs=0 leaves a
+    global-mean-only model (bias terms zero, factors at their tiny random
+    start).
     """
     if y.n_observed == 0:
         raise ValueError("cannot train the baseline on an empty matrix")
@@ -82,23 +83,25 @@ def train_baseline(y: SparseRatingMatrix, cfg: BaselineConfig) -> BaselineModel:
     q = rng.normal(0.0, 0.01, size=(y.n_items, cfg.n_factors))
     lr = cfg.lr
     prev = np.inf
-    for _ in range(cfg.epochs):
-        order = rng.permutation(y.n_observed)
-        for start in range(0, order.size, BATCH_SIZE):
-            batch = order[start : start + BATCH_SIZE]
-            uu, ii = y.users[batch], y.items[batch]
-            pu, qi = p[uu], q[ii]
-            err = y.ratings[batch] - (mu + bu[uu] + bi[ii] + np.einsum("ij,ij->i", pu, qi))
-            np.add.at(bu, uu, lr * (err - cfg.reg * bu[uu]))
-            _add_rows_at(p, uu, lr * (err[:, None] * qi - cfg.reg * pu))
-            np.add.at(bi, ii, lr * (err - cfg.reg * bi[ii]))
-            _add_rows_at(q, ii, lr * (err[:, None] * pu - cfg.reg * qi))
-        loss = _loss(y, mu, bu, bi, p, q, cfg.reg)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError("baseline loss is not finite")
-        if loss > prev:
-            lr *= 0.5
-        prev = loss
+    # Overflow is reported as the error below, so NumPy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(y.n_observed)
+            for start in range(0, order.size, BATCH_SIZE):
+                batch = order[start : start + BATCH_SIZE]
+                uu, ii = y.users[batch], y.items[batch]
+                pu, qi = p[uu], q[ii]
+                err = y.ratings[batch] - (mu + bu[uu] + bi[ii] + np.einsum("ij,ij->i", pu, qi))
+                np.add.at(bu, uu, lr * (err - cfg.reg * bu[uu]))
+                _add_rows_at(p, uu, lr * (err[:, None] * qi - cfg.reg * pu))
+                np.add.at(bi, ii, lr * (err - cfg.reg * bi[ii]))
+                _add_rows_at(q, ii, lr * (err[:, None] * pu - cfg.reg * qi))
+            loss = _loss(y, mu, bu, bi, p, q, cfg.reg)
+            if not np.isfinite(loss):
+                raise ValueError("baseline loss is not finite")
+            if loss > prev:
+                lr *= 0.5
+            prev = loss
     return BaselineModel(p, q, bu, bi, mu, y.max_rating)
 
 

@@ -21,7 +21,7 @@ from .baseline import BaselineConfig, rounds_experiment
 from .evaluation import confusion, hr_table, snapshot, split
 from .ingest import load_matrix, open_text, parse_ml100k, parse_ml1m, preprocess, save_matrix
 from .selftrain import REPORT_CSV_COLUMNS, SelfTrainConfig, check_inputs, selftrain_loop
-from .trainer import TrainingDivergedError, load_checkpoint, predict_ratings, save_checkpoint
+from .trainer import load_checkpoint, predict_ratings, save_checkpoint
 
 DEFAULT_LAMBDA_GRID = [10 ** (i / 16) for i in range(1, 41, 4)]
 DEFAULT_TAU1_GRID = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 49.99]
@@ -95,7 +95,7 @@ def cmd_selftrain(args, parser) -> int:
     out_dir = Path(args.out_dir)
     snap_dir = out_dir / "snapshots"
     # baseline-rounds reads every snapshot there, so an earlier run's must not mix in
-    if args.snapshot_every > 0 and any(snap_dir.glob("round_*.stmat")):
+    if any(snap_dir.glob("round_*.stmat")):
         return _fail(f"{snap_dir} already holds round_*.stmat snapshots; "
                      "choose a new --out-dir")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -123,8 +123,6 @@ def cmd_selftrain(args, parser) -> int:
     if result.model is not None:
         save_checkpoint(result.model, out_dir / "model.stmmmf")
     print(f"stopped after {len(result.reports)} rounds ({result.stop_reason})")
-    if result.stop_reason == "diverged":
-        return _fail("inner solver diverged; partial reports kept")
     return 0
 
 
@@ -349,15 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a bad file, bad data or a diverged solve prints one
-    `error:` line and returns 1, a usage error exits with 2 after the
-    command's usage."""
+    """Run one command; a bad file or bad data prints one `error:` line and
+    returns 1, a usage error exits with 2 after the command's usage."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, args.parser)
     except FileNotFoundError as exc:
         return _fail(f"file not found: {exc.filename}")
-    except (OSError, ValueError, TrainingDivergedError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
 
 

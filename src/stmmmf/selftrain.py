@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import FactorModel, SparseRatingMatrix, avg_threshold_gaps, discretize_rows
 from .evaluation import snapshot
-from .trainer import TrainingDivergedError, predict_ratings, train
+from .trainer import predict_ratings, train
 
 # Users per block of the dense score matmul in candidate_levels.
 SCORE_BLOCK = 256
@@ -210,10 +210,11 @@ def sample_augment(
 
     Takes min(cap, floor(n * sample_pct / 100)) of the grid's n nonzero
     cells with per-label quotas from skew_allocation over the R = len(shares)
-    labels; labels short on supply hand their leftover quota to the others
-    in proportion to remaining supply.  Sampling within a label is uniform
-    without replacement over its cells in row-major order.  Returns the
-    sample as a matrix on the grid with max_rating R.
+    labels.  Labels short on supply hand their leftover quota to the others
+    in proportion to remaining supply, rounded by largest remainder as in
+    skew_allocation.  Sampling within a label is uniform without replacement
+    over its cells in row-major order.  Returns the sample as a matrix on
+    the grid with max_rating R.
     """
     if not 0.0 < sample_pct <= 100.0:
         raise ValueError("sample_pct must lie in (0, 100]")
@@ -229,22 +230,10 @@ def sample_augment(
     take = np.minimum(skew_allocation(shares, target), supply)
     left = target - int(take.sum())
     if left > 0:
-        # target <= supply.sum(), so avail.sum() >= left: the floored shares
-        # plus one pass over the labels with room fill the whole shortfall.
+        # target <= supply.sum(), so each label's share of left is at most
+        # its room, and only a share with a fraction is rounded up
         avail = supply - take
-        frac = left * avail / int(avail.sum())
-        add = np.floor(frac).astype(np.int64)
-        shortfall = left - int(add.sum())
-        rem = np.where(avail > add, frac - add, -1.0)
-        for idx in np.argsort(-rem, kind="stable"):
-            if shortfall == 0:
-                break
-            room = int(avail[idx] - add[idx])
-            if room > 0:
-                inc = min(room, shortfall)
-                add[idx] += inc
-                shortfall -= inc
-        take += add
+        take += _largest_remainder(left * avail / int(avail.sum()), left)
     chosen = []
     for level in range(1, n_levels + 1):
         k = int(take[level - 1])
@@ -311,10 +300,7 @@ def selftrain_loop(
     the training matrix is empty, or when test MAE has risen strictly for
     cfg.patience consecutive rounds.  The test matrix is never read by
     training or modified.  `callback`, when given, is invoked after each
-    round as callback(report, model, y_in, y_out).
-
-    Divergence of the inner solver ends the loop early; the reports
-    collected so far are returned with stop_reason "diverged".  Inputs that
+    round as callback(report, model, y_in, y_out).  Inputs that
     check_inputs rejects are rejected before the first round.
     """
     check_inputs(y0, test)
@@ -323,10 +309,7 @@ def selftrain_loop(
     for iteration in range(1, cfg.max_rounds + 1):
         if y.n_observed == 0:
             return SelfTrainResult(model, reports, "empty_training_set")
-        try:
-            model, trace = train(y, cfg)
-        except TrainingDivergedError:
-            return SelfTrainResult(model, reports, "diverged")
+        model, trace = train(y, cfg)
         _, n_clamped = avg_threshold_gaps(model)
         levels = candidate_levels(model, y, cfg.tau_augment)
         low = low_confidence_observed(model, y, cfg.tau_refine)

@@ -37,10 +37,6 @@ _MIN_LR = 1e-18
 _LR_RESTORE_EVERY = 10
 
 
-class TrainingDivergedError(RuntimeError):
-    """Raised when the objective or a gradient stops being finite."""
-
-
 @dataclass
 class TrainTrace:
     """Objective history of one solve; objectives[0] is the initial value."""
@@ -123,9 +119,6 @@ def gd_step(model: FactorModel, grads, lr: float) -> FactorModel | None:
     None when the step overflows to non-finite values."""
     if lr <= 0:
         raise ValueError("lr must be > 0")
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise TrainingDivergedError("non-finite gradient entries")
     params = (model.user_factors, model.item_factors, model.thresholds)
     stepped = [a - lr * g for a, g in zip(params, grads)]
     if not all(np.isfinite(a).all() for a in stepped):
@@ -161,16 +154,20 @@ def train(y: SparseRatingMatrix, cfg):
     halved step size; the step size is restored to cfg.lr every 10
     accepted steps.  Stops early once the relative objective decrease falls
     below cfg.tol.  Returns (model, trace) with a non-increasing
-    accepted-objective sequence.
+    accepted-objective sequence.  Raises ValueError when the initial
+    objective is not finite (a reg so large that it overflows); every
+    later gradient then comes from a finite objective and is finite.
     """
     if y.n_observed == 0:
         raise ValueError("cannot train on an empty rating matrix")
     model = initial_model(y, cfg.n_factors, cfg.seed)
     loss = HingeLoss(y, cfg.reg)
-    current, grads = loss(model)
+    # Overflow is reported as the error below, so NumPy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        current, grads = loss(model)
     kernel_calls = 1
     if not np.isfinite(current):
-        raise TrainingDivergedError("initial objective is not finite")
+        raise ValueError(f"initial objective is not finite at reg={cfg.reg:g}")
     objectives = [current]
     lr = cfg.lr
     violations = 0

@@ -262,11 +262,13 @@ def test_selftrain_refuses_snapshots_of_an_earlier_run(toy_files, capsys):
     before = {f: f.read_bytes() for f in run_dir.rglob("*") if f.is_file()}
     capsys.readouterr()
     again = selftrain_args(tmp_path, train_path, test_path, iters="1", tau1="30")
-    assert run(again + ["--snapshot-every", "1"]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {run_dir / 'snapshots'} already holds round_*.stmat snapshots; "
-        "choose a new --out-dir"]
-    assert {f: f.read_bytes() for f in run_dir.rglob("*") if f.is_file()} == before
+    # a run that writes no snapshots would still leave the first run's behind
+    for extra in (["--snapshot-every", "1"], []):
+        assert run(again + extra) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {run_dir / 'snapshots'} already holds round_*.stmat snapshots; "
+            "choose a new --out-dir"]
+        assert {f: f.read_bytes() for f in run_dir.rglob("*") if f.is_file()} == before
 
 
 def test_selftrain_negative_snapshot_every_is_usage_error(toy_files, capsys):
@@ -291,24 +293,15 @@ def test_selftrain_malformed_matrix_is_an_error_line(toy_files, capsys):
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
-def test_selftrain_diverged_solve_exits_1_and_keeps_round_1(toy_files, capsys, monkeypatch):
+@pytest.mark.filterwarnings("error")
+def test_selftrain_overflowing_objective_is_one_error_line(toy_files, capsys):
     tmp_path, train_path, test_path = toy_files
     args = selftrain_args(tmp_path, train_path, test_path)
-    one_round = args[:-1] + [tmp_path / "one"]
-    one_round[one_round.index("--iters") + 1] = "1"
-    assert run(one_round) == 0
-    from test_selftrain import diverge_on_second_call
-
-    diverge_on_second_call(monkeypatch)
-    capsys.readouterr()
+    args[args.index("--lambda") + 1] = "1e308"
     assert run(args) == 1
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: inner solver diverged; partial reports kept"]
-    assert "stopped after 1 rounds (diverged)" in captured.out
-    run_dir = tmp_path / "run"
-    assert len((run_dir / "reports.jsonl").read_text().splitlines()) == 1
-    # the checkpoint is round 1's model
-    assert (run_dir / "model.stmmmf").read_bytes() == (tmp_path / "one" / "model.stmmmf").read_bytes()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: initial objective is not finite at reg=1e+308"]
+    assert not (tmp_path / "run" / "model.stmmmf").exists()
 
 
 def test_flag_defaults_are_the_config_defaults(toy_files, monkeypatch):
@@ -451,6 +444,18 @@ def test_gridsearch_empty_carve_out_keeps_the_header(tmp_path, capsys):
         f"matrix too small for val-frac; partial CSV kept at {out}"
     ]
     assert out.read_text() == "lambda,tau1,s,mae,rmse\n"
+
+
+def test_gridsearch_overflowing_objective_keeps_the_finished_rows(toy_files, capsys):
+    tmp_path, train_path, _ = toy_files
+    out = tmp_path / "grid.csv"
+    assert run(grid_args(train_path, out, "--lambda-grid", "5,1e308", "--tau1-grid", "30",
+                         "--s-grid", "100")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: grid search aborted: initial objective is not finite at reg=1e+308; "
+        f"partial CSV kept at {out}"]
+    rows = out.read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("5,30,100,")
 
 
 @pytest.mark.parametrize("argv", [
@@ -644,6 +649,18 @@ def test_baseline_rounds_single_snapshot(toy_files, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "round,mae,rmse"
     assert len(lines) == 2 and lines[1].startswith("0,")
+
+
+@pytest.mark.filterwarnings("error")
+def test_baseline_rounds_overflowing_loss_is_one_error_line(toy_files, capsys):
+    tmp_path, train_path, test_path = toy_files
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    save_matrix(load_matrix(train_path), snaps / "round_000.stmat")
+    code = run(["baseline-rounds", snaps, "--test", test_path, "--lr", "1e10",
+                "--epochs", "3", "--out", tmp_path / "b.csv"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: baseline loss is not finite"]
 
 
 def test_baseline_rounds_orders_snapshots_by_round_number(toy_files, capsys):

@@ -21,7 +21,7 @@ from stmmmf.selftrain import (
     skew_allocation,
 )
 from stmmmf.synthetic import planted_matrix, planted_model
-from stmmmf.trainer import TrainingDivergedError, train
+from stmmmf.trainer import train
 
 UNIT_THETA = [1.0, 2.0, 3.0, 4.0]  # average gap exactly 1
 
@@ -320,6 +320,18 @@ def test_sample_redistributes_to_available_labels():
     assert np.all(got.ratings == 1)
 
 
+@pytest.mark.parametrize("cap,want", [(20, [1, 5, 5, 5, 4]), (40, [1, 10, 10, 10, 9])])
+def test_sample_splits_the_leftover_quota_by_largest_remainder(cap, want):
+    # quotas at cap 20 are [4, 4, 4, 4, 4]; label 1 holds one cell, so each
+    # of labels 2-5 is owed 0.75 of the 3 left, and the ties go to the
+    # lower labels, as in skew_allocation
+    grid = np.zeros((5, 33), dtype=np.uint8)
+    grid.flat[:161] = np.repeat(np.arange(1, 6), [1, 40, 40, 40, 40])
+    shares = [0.1, 0.2, 0.2, 0.25, 0.25]
+    got = sample_augment(grid, shares, 100.0, cap, np.random.default_rng(0))
+    assert np.bincount(got.ratings, minlength=6)[1:].tolist() == want
+
+
 def matrix_sample_augment(cands, shares, sample_pct, cap, rng):
     """Reference: the sampler over a candidate triple matrix, drawing each
     label's pool from the matrix's positions (key order)."""
@@ -331,19 +343,7 @@ def matrix_sample_augment(cands, shares, sample_pct, cap, rng):
     left = target - int(take.sum())
     if left > 0:
         avail = supply - take
-        frac = left * avail / int(avail.sum())
-        add = np.floor(frac).astype(np.int64)
-        shortfall = left - int(add.sum())
-        rem = np.where(avail > add, frac - add, -1.0)
-        for idx in np.argsort(-rem, kind="stable"):
-            if shortfall == 0:
-                break
-            room = int(avail[idx] - add[idx])
-            if room > 0:
-                inc = min(room, shortfall)
-                add[idx] += inc
-                shortfall -= inc
-        take += add
+        take += selftrain._largest_remainder(left * avail / int(avail.sum()), left)
     chosen = []
     for level in range(1, cands.max_rating + 1):
         k = int(take[level - 1])
@@ -694,31 +694,6 @@ def test_an_empty_test_matrix_never_stops_the_loop_on_patience(monkeypatch):
     result = selftrain_loop(train_m, loop_config(max_rounds=3, patience=1), empty)
     assert result.stop_reason == "max_rounds"
     assert [(r.test_mae, r.test_pseudo) for r in result.reports] == [(None, 0)] * 3
-
-
-def diverge_on_second_call(monkeypatch):
-    """Make the loop's solver raise TrainingDivergedError from its second call."""
-    calls = []
-
-    def solve(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise TrainingDivergedError("non-finite gradient entries")
-        return train(*args)
-
-    monkeypatch.setattr(selftrain, "train", solve)
-    return calls
-
-
-def test_loop_stops_when_the_solver_diverges(monkeypatch):
-    train_m, test_m = small_problem()
-    calls = diverge_on_second_call(monkeypatch)
-    models = []
-    result = selftrain_loop(train_m, loop_config(), test_m,
-                            callback=lambda report, model, y_in, y_out: models.append(model))
-    assert result.stop_reason == "diverged"
-    assert len(calls) == 2 and len(result.reports) == 1
-    assert result.model is models[0]
 
 
 def test_loop_without_test_matrix():

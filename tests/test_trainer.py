@@ -13,7 +13,6 @@ from stmmmf.selftrain import SelfTrainConfig
 from stmmmf.synthetic import planted_matrix, planted_model
 from stmmmf.trainer import (
     HingeLoss,
-    TrainingDivergedError,
     gd_step,
     initial_model,
     load_checkpoint,
@@ -296,13 +295,6 @@ def test_gd_step_arithmetic():
     assert out.user_factors[0, 0] == 1.5
 
 
-def test_gd_step_rejects_nonfinite_gradients():
-    model = tiny_model(0, 0, 0)
-    grads = (np.array([[np.inf]]), np.zeros((1, 1)), np.zeros((1, 1)))
-    with pytest.raises(TrainingDivergedError):
-        gd_step(model, grads, 0.1)
-
-
 def test_small_step_decreases_objective():
     rng = np.random.default_rng(3)
     model, y = random_instance(rng)
@@ -383,6 +375,13 @@ def test_train_backtracks_an_overflowing_objective_without_warnings():
         warnings.simplefilter("error")
         _, trace = train(y, SelfTrainConfig(lr=1e300, gd_iters=3))
     assert trace.iterations == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_rejects_an_overflowing_initial_objective():
+    y = planted_matrix(planted_model(30, 40, 3, seed=1), 0.3, seed=2)
+    with pytest.raises(ValueError, match=r"^initial objective is not finite at reg=1e\+308$"):
+        train(y, SelfTrainConfig(reg=1e308))
 
 
 def test_gd_step_returns_none_on_overflow():
