@@ -176,6 +176,8 @@ def _grid_cell(payload):
         inner_train, holdout = split(_grid_matrix, 1.0 - val_frac, seed)
         if holdout.n_observed == 0:
             raise ValueError("validation carve-out is empty; matrix too small for val-frac")
+        if inner_train.n_observed == 0:
+            raise ValueError("training carve-out is empty; val-frac too large for the matrix")
         result = selftrain_loop(inner_train, dataclasses.replace(cfg, seed=seed), holdout)
         last = result.reports[-1]
         maes.append(last.test_mae)

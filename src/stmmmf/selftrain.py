@@ -191,15 +191,13 @@ def skew_allocation(shares, total: int) -> np.ndarray:
 
 
 def _largest_remainder(quota: np.ndarray, total: int) -> np.ndarray:
+    """Integer split of total by quota; the quotas must sum to total."""
     out = np.floor(quota).astype(np.int64)
     short = int(total - out.sum())
     rem = quota - np.floor(quota)
     # larger remainder first; ties favor the lower label index
     order = np.argsort(-rem, kind="stable")
-    if short > 0:
-        out[order[:short]] += 1
-    elif short < 0:
-        out[order[short:]] -= 1
+    out[order[:short]] += 1
     return out
 
 

@@ -33,8 +33,6 @@ CHECKPOINT_MAGIC = "STMMMF"
 
 # Step size below which backtracking gives up on finding a decrease.
 _MIN_LR = 1e-18
-# Accepted steps between step-size restores to the configured value.
-_LR_RESTORE_EVERY = 10
 
 
 @dataclass
@@ -151,12 +149,12 @@ def train(y: SparseRatingMatrix, cfg):
     here: n_factors, reg, lr, gd_iters, tol and seed.  Runs at most
     cfg.gd_iters descent steps.  A step that would raise the objective, or
     that overflows to a non-finite model or objective, is retried with a
-    halved step size; the step size is restored to cfg.lr every 10
-    accepted steps.  Stops early once the relative objective decrease falls
-    below cfg.tol.  Returns (model, trace) with a non-increasing
-    accepted-objective sequence.  Raises ValueError when the initial
-    objective is not finite (a reg so large that it overflows); every
-    later gradient then comes from a finite objective and is finite.
+    halved step size, and later steps keep the last accepted size.  Stops
+    early once the relative objective decrease falls below cfg.tol.
+    Returns (model, trace) with a non-increasing accepted-objective
+    sequence.  Raises ValueError when the initial objective is not finite
+    (a reg so large that it overflows); every later gradient then comes
+    from a finite objective and is finite.
     """
     if y.n_observed == 0:
         raise ValueError("cannot train on an empty rating matrix")
@@ -195,8 +193,6 @@ def train(y: SparseRatingMatrix, cfg):
         if rel_drop < cfg.tol:
             converged = True
             break
-        if (len(objectives) - 1) % _LR_RESTORE_EVERY == 0:
-            lr = cfg.lr
     return model, TrainTrace(np.array(objectives), len(objectives) - 1, converged, violations,
                              kernel_calls)
 

@@ -221,6 +221,8 @@ def test_bookkeeping_exact(desk_run):
     for report in desk_run.result.reports:
         assert report.observed + report.unobserved == 943 * 1682
         assert report.augmented == min(5000, report.candidates)
+        # every solve keeps cfg.lr: no trial step is rejected and halved
+        assert report.kernel_calls == report.steps + 1
 
 
 # ----------------------------------------------------------------- criterion 6

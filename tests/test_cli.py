@@ -434,14 +434,17 @@ def test_gridsearch_bad_grid_is_usage_error(toy_files, grid):
     assert not out.exists()  # rejected before any cell runs
 
 
-def test_gridsearch_empty_carve_out_keeps_the_header(tmp_path, capsys):
+@pytest.mark.parametrize("extra, message", [
+    ([], "validation carve-out is empty; matrix too small for val-frac"),
+    (["--val-frac", "0.9"], "training carve-out is empty; val-frac too large for the matrix"),
+], ids=["validation", "training"])
+def test_gridsearch_empty_carve_out_keeps_the_header(tmp_path, capsys, extra, message):
     tiny, out = tmp_path / "tiny.stmat", tmp_path / "grid.csv"
     save_matrix(SparseRatingMatrix.from_triples(3, 3, 5, [(0, 0, 3), (1, 1, 4)]), tiny)
     assert run(grid_args(tiny, out, "--lambda-grid", "0.2", "--tau1-grid", "30",
-                         "--s-grid", "100")) == 1
+                         "--s-grid", "100", *extra)) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: grid search aborted: validation carve-out is empty; "
-        f"matrix too small for val-frac; partial CSV kept at {out}"
+        f"error: grid search aborted: {message}; partial CSV kept at {out}"
     ]
     assert out.read_text() == "lambda,tau1,s,mae,rmse\n"
 

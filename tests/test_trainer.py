@@ -343,7 +343,7 @@ def test_train_evaluates_once_per_trial_step(monkeypatch):
     assert [values[0], *accepted] == list(trace.objectives)
 
 
-def test_train_restores_the_step_size_every_ten_accepted_steps(monkeypatch):
+def test_train_keeps_a_halved_step_size(monkeypatch):
     steps = []
 
     def recorded(model, grads, lr):
@@ -352,12 +352,34 @@ def test_train_restores_the_step_size_every_ten_accepted_steps(monkeypatch):
 
     monkeypatch.setattr(trainer, "gd_step", recorded)
     y = planted_matrix(planted_model(12, 10, rank=2, seed=1), 0.7, seed=2)
-    # lr 0.2 is rejected once and 0.1 then holds until the restore at the
-    # tenth accepted step, where 0.2 is tried (and rejected) again
+    # lr 0.2 is rejected once, and 0.1 then holds for every later step
     cfg = SelfTrainConfig(n_factors=3, reg=0.2, lr=0.2, gd_iters=12, tol=0.0, seed=5)
     _, trace = train(y, cfg)
-    assert steps == [0.2] * 5 + [0.1] * 6 + [0.2] + [0.1] * 2
-    assert trace.iterations == 12 and trace.kernel_calls == 1 + 12 + 2
+    assert steps == [0.2] * 5 + [0.1] * 8
+    assert trace.iterations == 12 and trace.kernel_calls == 1 + 12 + 1
+
+
+def test_train_stops_when_no_step_size_lowers_the_objective(monkeypatch):
+    class Rising(HingeLoss):
+        start = None
+
+        def __call__(self, model):
+            value, grads = super().__call__(model)
+            if self.start is None:  # the starting point
+                self.start = value
+                return value, grads
+            return self.start + 1.0, grads
+
+    y = planted_matrix(planted_model(12, 10, rank=2, seed=1), 0.7, seed=2)
+    first = initial_model(y, 3, 5)
+    monkeypatch.setattr(trainer, "HingeLoss", Rising)
+    model, trace = train(y, SelfTrainConfig(n_factors=3, reg=0.2, seed=5))
+    for name in ("user_factors", "item_factors", "thresholds"):
+        np.testing.assert_array_equal(getattr(model, name), getattr(first, name))
+    assert trace.iterations == 0 and trace.converged is False
+    assert trace.objectives.size == 1
+    # the start, then one trial per step size from lr = 0.002 down to 1e-18
+    assert trace.kernel_calls == 52
 
 
 def test_train_backtracks_a_step_that_overflows_the_model():
