@@ -2,8 +2,9 @@
 
 Holds the sparse rating matrix, the factor/threshold model, and the pure
 functions everything else composes: blocked row dot products,
-score-to-rating discretization, and the per-user average threshold gaps
-used for confidence bands.
+score-to-rating discretization, the per-user average threshold gaps
+used for confidence bands, and the largest-remainder rounding that the
+sampler and the synthetic generator share.
 """
 
 from __future__ import annotations
@@ -279,3 +280,14 @@ def avg_threshold_gaps(model: FactorModel):
     raw = np.diff(model.thresholds, axis=1).mean(axis=1)
     n_clamped = int(np.count_nonzero(raw < GAP_EPS))
     return np.maximum(raw, GAP_EPS), n_clamped
+
+
+def _largest_remainder(quota: np.ndarray, total: int) -> np.ndarray:
+    """Integer split of total by quota; the quotas must sum to total."""
+    out = np.floor(quota).astype(np.int64)
+    short = int(total - out.sum())
+    rem = quota - np.floor(quota)
+    # larger remainder first; ties favor the lower index
+    order = np.argsort(-rem, kind="stable")
+    out[order[:short]] += 1
+    return out

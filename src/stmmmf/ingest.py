@@ -21,6 +21,9 @@ from .core import SparseRatingMatrix
 
 MATRIX_MAGIC = "STMAT"
 
+# both MovieLens layouts rate on 1..5
+MAX_RATING = 5
+
 # Rows per block of the text _format_rows builds: each block's values live
 # as Python objects while it is formatted, so the block bounds that memory.
 FORMAT_BLOCK = 4096
@@ -135,31 +138,31 @@ def _format_rows(columns, fmt: str, sep: str = " "):
         yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def _rating_table(lines, delimiter: str, max_rating: int) -> np.ndarray:
-    """(n, 4) table of stripped `user item rating timestamp` lines, ratings in 1..max_rating."""
+def _rating_table(lines, delimiter: str) -> np.ndarray:
+    """(n, 4) table of stripped `user item rating timestamp` lines, ratings in 1..MAX_RATING."""
     lines = map(str.strip, lines)
     if delimiter != "\t":  # loadtxt splits on one character, so `::` becomes a tab
         lines = map(operator.methodcaller("replace", "\t", " "), lines)  # a tab splits nothing
         lines = map(operator.methodcaller("replace", delimiter, "\t"), lines)
     table = _read_table(lines, 4, np.int64, "\t")
-    bad = (table[:, 2] < 1) | (table[:, 2] > max_rating)
+    bad = (table[:, 2] < 1) | (table[:, 2] > MAX_RATING)
     if bad.any():
-        raise ValueError(f"rating {table[bad.argmax(), 2]} outside 1..{max_rating}")
+        raise ValueError(f"rating {table[bad.argmax(), 2]} outside 1..{MAX_RATING}")
     return table
 
 
-def _parse_delimited(source, delimiter: str, max_rating: int = 5) -> RawRatings:
+def _parse_delimited(source, delimiter: str) -> RawRatings:
     with open_text(source) as stream:  # a stream that cannot seek gets no line numbers
         start = stream.tell() if stream.seekable() else None
         try:
-            table = _rating_table(stream, delimiter, max_rating)
+            table = _rating_table(stream, delimiter)
         except ValueError:
             if start is None:
                 raise
             stream.seek(start)  # find the bad line by checking the lines one by one
             for line_no, line in enumerate(stream, start=1):
                 try:
-                    _rating_table([line], delimiter, max_rating)
+                    _rating_table([line], delimiter)
                 except ValueError as exc:
                     raise ParseError(line_no, str(exc)) from None
             raise
@@ -176,7 +179,7 @@ def parse_ml1m(source) -> RawRatings:
     return _parse_delimited(source, "::")
 
 
-def preprocess(raw: RawRatings, min_ratings: int = 20, max_rating: int = 5) -> PreprocessResult:
+def preprocess(raw: RawRatings, min_ratings: int = 20) -> PreprocessResult:
     """Filter sparse users and compact ids to dense 0-based indices.
 
     User and item ids must be non-negative integers; a negative id raises
@@ -190,7 +193,7 @@ def preprocess(raw: RawRatings, min_ratings: int = 20, max_rating: int = 5) -> P
         raise ValueError("min_ratings must be >= 0")
     if len(raw) == 0:
         return PreprocessResult(
-            SparseRatingMatrix.from_triples(1, 1, max_rating, []),
+            SparseRatingMatrix.from_triples(1, 1, MAX_RATING, []),
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0,
         )
     negative = (raw.user_ids < 0) | (raw.item_ids < 0)
@@ -203,8 +206,7 @@ def preprocess(raw: RawRatings, min_ratings: int = 20, max_rating: int = 5) -> P
         # The key would overflow: key on the ids' ranks, which keep their order.
         user_ids, users = np.unique(raw.user_ids, return_inverse=True)
         item_ids, items = np.unique(raw.item_ids, return_inverse=True)
-        ranked = preprocess(RawRatings(users, items, raw.ratings, raw.timestamps),
-                            min_ratings, max_rating)
+        ranked = preprocess(RawRatings(users, items, raw.ratings, raw.timestamps), min_ratings)
         return PreprocessResult(ranked.matrix, user_ids[ranked.user_ids],
                                 item_ids[ranked.item_ids], ranked.n_duplicates)
     # With non-negative ids that fit the key, key order is (user, item) order.
@@ -241,7 +243,7 @@ def preprocess(raw: RawRatings, min_ratings: int = 20, max_rating: int = 5) -> P
     u_idx = np.cumsum(run_start) - 1
     del run_start
     matrix = SparseRatingMatrix(
-        max(user_ids.size, 1), max(item_ids.size, 1), max_rating,
+        max(user_ids.size, 1), max(item_ids.size, 1), MAX_RATING,
         u_idx, i_idx, raw.ratings[keep],
     )
     return PreprocessResult(matrix, user_ids, item_ids, n_duplicates)

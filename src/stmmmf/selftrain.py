@@ -15,7 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FactorModel, SparseRatingMatrix, avg_threshold_gaps, discretize_rows
+from .core import (
+    FactorModel, SparseRatingMatrix, _largest_remainder, avg_threshold_gaps, discretize_rows,
+)
 from .evaluation import snapshot
 from .trainer import predict_ratings, train
 
@@ -188,17 +190,6 @@ def skew_allocation(shares, total: int) -> np.ndarray:
     if denom <= 1e-12:
         raise ValueError("degenerate rating distribution: every share is 1")
     return _largest_remainder(total * weight / denom, total)
-
-
-def _largest_remainder(quota: np.ndarray, total: int) -> np.ndarray:
-    """Integer split of total by quota; the quotas must sum to total."""
-    out = np.floor(quota).astype(np.int64)
-    short = int(total - out.sum())
-    rem = quota - np.floor(quota)
-    # larger remainder first; ties favor the lower label index
-    order = np.argsort(-rem, kind="stable")
-    out[order[:short]] += 1
-    return out
 
 
 def sample_augment(

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ROW_DOT_BLOCK, FactorModel, SparseRatingMatrix, discretize_rows
-from .ingest import _format_rows
+from .core import ROW_DOT_BLOCK, FactorModel, SparseRatingMatrix, _largest_remainder, discretize_rows
+from .ingest import MAX_RATING, _format_rows
 
 
 def planted_model(
@@ -15,14 +15,13 @@ def planted_model(
     n_items: int,
     rank: int,
     seed: int,
-    max_rating: int = 5,
     score_shift: float = 0.0,
     threshold_jitter: float = 0.0,
 ) -> FactorModel:
-    """Random rank-`rank` factor model with per-user rating thresholds.
+    """Random rank-`rank` factor model with per-user thresholds on the 1..5 scale.
 
-    Base thresholds sit at r - R/2 - score_shift, so a positive shift
-    skews discretized ratings toward the top of the scale.  A positive
+    Base thresholds sit at r - R/2 - score_shift with R = 5, so a positive
+    shift skews discretized ratings toward the top of the scale.  A positive
     threshold_jitter perturbs each user's cut points independently (rows
     kept sorted), giving users non-uniform personal rating scales that no
     plain bilinear-plus-bias model can absorb.
@@ -31,7 +30,7 @@ def planted_model(
     u = rng.normal(0.0, 1.0, size=(n_users, rank))
     v = rng.normal(0.0, 1.0, size=(n_items, rank)) / np.sqrt(rank)
     theta = np.tile(
-        np.arange(1, max_rating, dtype=np.float64) - max_rating / 2.0 - score_shift,
+        np.arange(1, MAX_RATING, dtype=np.float64) - MAX_RATING / 2.0 - score_shift,
         (n_users, 1),
     )
     if threshold_jitter > 0.0:
@@ -65,7 +64,8 @@ def planted_matrix(
 
 def _spread_counts(weights: np.ndarray, total: int, low: int, high: int) -> np.ndarray:
     """Integer counts proportional to weights, each within [low, high],
-    summing exactly to total."""
+    summing exactly to total.  Once every open row's share is below 1, the
+    rest goes by largest remainder, ties to the lower row index."""
     n = weights.size
     counts = np.full(n, low, dtype=np.int64)
     left = total - counts.sum()
@@ -80,15 +80,9 @@ def _spread_counts(weights: np.ndarray, total: int, low: int, high: int) -> np.n
         frac = left * w / w.sum()
         add = np.minimum(np.floor(frac).astype(np.int64), room)
         if add.sum() == 0:
-            # hand out the tail one unit at a time, largest share first
-            order = np.argsort(-frac)
-            for idx in order:
-                if left == 0:
-                    break
-                if room[idx] > 0:
-                    counts[idx] += 1
-                    left -= 1
-            continue
+            # every share is below 1, so more than `left` rows have a
+            # remainder and a row without room (share 0) is never picked
+            return counts + _largest_remainder(frac, int(left))
         counts += add
         left -= int(add.sum())
     return counts
@@ -100,7 +94,6 @@ def synthetic_ratings_file(
     n_items: int = 1682,
     n_ratings: int = 100_000,
     min_per_user: int = 20,
-    delimiter: str = "\t",
 ) -> str:
     """Tab-separated `user item rating timestamp` text at benchmark scale.
 
@@ -109,6 +102,8 @@ def synthetic_ratings_file(
     rank-2 model with an upward skew, and external ids are 1-based.
     Raises ValueError when the totals cannot be met.
     """
+    if min_per_user > n_items:
+        raise ValueError(f"min_per_user {min_per_user} exceeds n_items {n_items}")
     rng = np.random.default_rng(seed)
     model = planted_model(
         n_users, n_items, rank=2, seed=seed + 1,
@@ -118,10 +113,8 @@ def synthetic_ratings_file(
     counts = _spread_counts(activity, n_ratings, min_per_user, n_items)
 
     # one guaranteed rating per item, round-robin over users: user i gets
-    # items i, i + n_users, ...; the grid marks those seeded cells
+    # items i, i + n_users, ..., the items it owns
     owner = np.arange(n_items) % n_users
-    seeded = np.zeros((n_users, n_items), dtype=bool)
-    seeded[owner, np.arange(n_items)] = True
     n_seeded = np.bincount(owner, minlength=n_users)
     short = np.flatnonzero(counts < n_seeded)
     if short.size:
@@ -138,12 +131,11 @@ def synthetic_ratings_file(
         already = np.arange(i, n_items, n_users)
         need = counts[i] - already.size
         perm = rng.permutation(n_items)
-        extra = perm[~seeded[i, perm]][:need]
+        extra = perm[owner[perm] != i][:need]
         mine = np.concatenate([already, extra])
         users[pos : pos + mine.size] = i
         items[pos : pos + mine.size] = mine
         pos += mine.size
-    del seeded
     if pos != n_ratings:
         raise ValueError(f"placed {pos} ratings, not the requested {n_ratings}")
 
@@ -158,4 +150,4 @@ def synthetic_ratings_file(
 
     users += 1
     items += 1
-    return "".join(_format_rows([users, items, ratings, stamps], "%d", delimiter))
+    return "".join(_format_rows([users, items, ratings, stamps], "%d", "\t"))

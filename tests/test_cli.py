@@ -425,6 +425,7 @@ def test_gridsearch_default_tau1_grid_lies_above_tau2(toy_files):
     ["--tau1-grid", "30,5"],          # tau1 5 is below tau2 10
     ["--tau1-grid", "30", "--dim", "0"],
     ["--tau1-grid", "30", "--runs", "0"],
+    ["--tau1-grid", "30", "--val-frac", "0"],
 ])
 def test_gridsearch_bad_grid_is_usage_error(toy_files, grid):
     tmp_path, train_path, _ = toy_files

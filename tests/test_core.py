@@ -331,3 +331,24 @@ def test_model_validation():
         FactorModel(np.full((2, 2), np.nan), np.zeros((2, 2)), np.zeros((2, 4)))
     m = FactorModel(np.zeros((2, 3)), np.zeros((5, 3)), np.zeros((2, 4)))
     assert (m.n_users, m.n_items, m.n_factors, m.max_rating) == (2, 5, 3, 5)
+
+
+# ------------------------------------------------------------------ guards
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SparseRatingMatrix.from_triples(0, 3, 5, []), "dimensions must be positive"),
+    (lambda: SparseRatingMatrix.from_triples(2, 3, 1, []), "max_rating >= 2"),
+    (lambda: SparseRatingMatrix(2, 3, 5, [0, 1], [0], [3, 3]), "1-D and equal length"),
+    (lambda: SparseRatingMatrix(2, 3, 5, [[0]], [[0]], [[3]]), "1-D and equal length"),
+    (lambda: SparseRatingMatrix.from_triples(2, 3, 5, [(0, 3, 3)]), "item index out of range"),
+    (lambda: SparseRatingMatrix.from_triples(2, 3, 5, []).rating_shares(), "no observed entries"),
+    (lambda: FactorModel(np.zeros(2), np.zeros((3, 1)), np.zeros((2, 4))), "must be 2-D"),
+    (lambda: FactorModel(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 0))),
+     "at least one threshold column"),
+    (lambda: FactorModel(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 2))).check_matches(
+        SparseRatingMatrix.from_triples(2, 3, 5, [])), "rating scales differ"),
+], ids=["no-users", "one-level", "unequal-length", "2-d-entries", "item-range",
+        "shares-of-nothing", "1-d-factors", "no-thresholds", "scale-mismatch"])
+def test_guards_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -50,6 +50,12 @@ def test_metrics_reject_empty():
         snapshot([])
 
 
+@pytest.mark.parametrize("pairs", [[(1, 2, 3)], [1, 2], [[[1, 2]]]], ids=["3-col", "1-d", "3-d"])
+def test_metrics_reject_pairs_of_another_shape(pairs):
+    with pytest.raises(ValueError, match=r"pairs must have shape \(n, 2\)"):
+        snapshot(pairs)
+
+
 def test_mae_le_rmse_random_pairs():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -130,6 +136,17 @@ def test_hr_one_sided_distance_counts():
     # actual=1, K=4 reaches only rating 5, yet the distance is applicable
     cm = cm_from_rows([[0, 0, 0, 0, 10], [0] * 5, [0] * 5, [0] * 5, [0] * 5])
     assert hr_at_k(cm, 1, 4) == 1.0
+
+
+@pytest.mark.parametrize("actual, k, message", [
+    (0, 0, "actual rating outside the scale"),
+    (6, 0, "actual rating outside the scale"),
+    (1, -1, "k must be >= 0"),
+], ids=["actual-0", "actual-6", "k-negative"])
+def test_hr_rejects_bad_arguments(actual, k, message):
+    cm = cm_from_block(PUBLISHED_TRAIN_BLOCK)
+    with pytest.raises(ValueError, match=message):
+        hr_at_k(cm, actual, k)
 
 
 def test_hr_zero_row_is_not_applicable():

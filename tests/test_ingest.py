@@ -133,6 +133,20 @@ def test_preprocess_min_ratings_boundary():
     assert result.matrix.n_observed == 20
 
 
+def test_preprocess_rejects_negative_min_ratings():
+    with pytest.raises(ValueError, match="min_ratings must be >= 0"):
+        preprocess(raw([(1, 1, 3, 0)]), min_ratings=-1)
+
+
+@pytest.mark.parametrize("parse, text", [(parse_ml100k, ""), (parse_ml1m, "\n \n")],
+                         ids=["ml100k", "ml1m"])
+def test_preprocess_of_no_ratings_is_an_empty_one_by_one_matrix(parse, text):
+    result = preprocess(parse(io.StringIO(text)))
+    y = result.matrix
+    assert (y.n_users, y.n_items, y.max_rating, y.n_observed) == (1, 1, 5, 0)
+    assert result.user_ids.size == result.item_ids.size == result.n_duplicates == 0
+
+
 def test_preprocess_compaction_ascending_bijection():
     rows = [(50, 900, 2, 0), (7, 30, 5, 1), (7, 900, 1, 2), (50, 30, 4, 3)]
     result = preprocess(raw(rows), min_ratings=0)

@@ -477,6 +477,27 @@ def test_config_validation():
     assert SelfTrainConfig(gd_iters=0, tol=0.0).gd_iters == 0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: SelfTrainConfig(patience=0), "patience must be >= 1"),
+    (lambda: low_confidence_observed(*band_model([2.5]), 0.0), r"tau_refine must lie in \(0, 0.5\)"),
+    (lambda: low_confidence_observed(*band_model([2.5]), 0.5), r"tau_refine must lie in \(0, 0.5\)"),
+    (lambda: skew_allocation([0.5, 0.5], -1), "total must be >= 0"),
+    (lambda: skew_allocation([1.5, -0.5], 10), "shares must be a non-negative vector"),
+    (lambda: skew_allocation([[0.5, 0.5]], 10), "shares must be a non-negative vector"),
+    (lambda: skew_allocation([1.0], 10), "degenerate rating distribution"),
+    (lambda: sample_augment(np.ones((2, 2), np.uint8), [0.5, 0.5], 0.0, 10, None),
+     r"sample_pct must lie in \(0, 100\]"),
+    (lambda: sample_augment(np.ones((2, 2), np.uint8), [0.5, 0.5], 100.5, 10, None),
+     r"sample_pct must lie in \(0, 100\]"),
+    (lambda: sample_augment(np.ones((2, 2), np.uint8), [0.5, 0.5], 100.0, 0, None),
+     "cap must be >= 1"),
+], ids=["patience", "tau-refine-0", "tau-refine-half", "total-negative", "share-negative",
+        "shares-2-d", "one-label", "sample-pct-0", "sample-pct-over-100", "cap-0"])
+def test_guards_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # --------------------------------------------------------------------- loop
 
 def small_problem():

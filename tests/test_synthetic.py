@@ -60,6 +60,17 @@ def test_ratings_file_rejects_impossible_totals():
         synthetic_ratings_file(seed=0, n_users=10, n_items=5, n_ratings=20, min_per_user=10)
 
 
+@pytest.mark.parametrize("n_ratings, min_per_user, message", [
+    (10, 5, "min_per_user 5 exceeds n_items 3"),
+    (3, 2, "total too small for the minimum per row"),
+    (7, 1, "total too large for the maximum per row"),  # 2 users x 3 items hold 6
+], ids=["min-per-user-above-n-items", "fewer-ratings-than-the-minimum", "more-ratings-than-cells"])
+def test_ratings_file_names_the_total_it_cannot_meet(n_ratings, min_per_user, message):
+    with pytest.raises(ValueError, match=message):
+        synthetic_ratings_file(seed=0, n_users=2, n_items=3, n_ratings=n_ratings,
+                               min_per_user=min_per_user)
+
+
 def test_ratings_file_rejects_counts_below_the_seeded_items():
     # 10 items round-robin over 2 users seed 5 items each; 8 ratings cannot
     # give both users 5
@@ -68,10 +79,11 @@ def test_ratings_file_rejects_counts_below_the_seeded_items():
 
 
 def test_ratings_file_peak_stays_under_five_texts():
-    """The seeded grid and the scores are freed before formatting, ratings
-    are discretized a block of rows at a time and rows are formatted from
-    the four columns a block at a time: what remains is the columns, the
-    text's blocks and the joined text (7.4 texts if all of it stays alive)."""
+    """No users x items grid is built, the scores are freed before
+    formatting, ratings are discretized a block of rows at a time and rows
+    are formatted from the four columns a block at a time: what remains is
+    the columns, the text's blocks and the joined text (7.4 texts if all
+    of it stays alive)."""
     tracemalloc.start()
     try:
         text = synthetic_ratings_file(seed=3, n_users=400, n_items=600, n_ratings=40_000)
@@ -89,9 +101,16 @@ def desk_text():
     return synthetic_ratings_file(seed=DESK_SEED)
 
 
-def test_desk_text_is_pinned(desk_text):
-    digest = hashlib.sha256(desk_text.encode()).hexdigest()
-    assert digest == "4c9e9349db9e34fbd1d390f67568859ef5f6ea48efeeeb1f1dd177683b4cff5f"
+@pytest.mark.parametrize("shape, digest", [
+    ({}, "4c9e9349db9e34fbd1d390f67568859ef5f6ea48efeeeb1f1dd177683b4cff5f"),
+    ({"seed": 0}, "1559bfd9460d84534c47e7994207089ac1cacbc40a6321fc4c7f8d397dc61146"),
+    # 4 users reach the row cap of 600 items
+    ({"seed": 3, "n_users": 400, "n_items": 600, "n_ratings": 40_000},
+     "df0e067134993a0cb6ff2b92996262e1924386d9ed9fa542e2d489c3d228c0ab"),
+], ids=["desk", "seed-0", "seed-3-capped"])
+def test_desk_text_is_pinned(desk_text, shape, digest):
+    text = synthetic_ratings_file(**shape) if shape else desk_text
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_desk_preprocess_and_split_are_pinned(desk_text):

@@ -295,6 +295,17 @@ def test_gd_step_arithmetic():
     assert out.user_factors[0, 0] == 1.5
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: HingeLoss(SparseRatingMatrix.from_triples(1, 1, 5, [(0, 0, 3)]), -1.0),
+     "reg must be >= 0"),
+    (lambda: gd_step(tiny_model(2, 3, 1), (np.zeros((1, 1)),) * 3, 0.0), "lr must be > 0"),
+    (lambda: gd_step(tiny_model(2, 3, 1), (np.zeros((1, 1)),) * 3, -0.5), "lr must be > 0"),
+], ids=["reg-negative", "lr-0", "lr-negative"])
+def test_guards_reject_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_small_step_decreases_objective():
     rng = np.random.default_rng(3)
     model, y = random_instance(rng)
