@@ -12,7 +12,6 @@ import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -159,26 +158,19 @@ def _parse_grid(text, fallback, parser):
         parser.error(f"grid values must be numbers: {text!r}")
 
 
-_grid_matrix = None  # the training matrix of every grid cell in this process
+_grid_runs = None  # (training, validation) carve-out per run, set in each grid worker
 
 
-def _set_grid_matrix(y):
-    global _grid_matrix
-    _grid_matrix = y
+def _set_grid_runs(runs):
+    global _grid_runs
+    _grid_runs = runs
 
 
-def _grid_cell(payload):
+def _grid_cell(cfg):
     """Mean validation (MAE, RMSE) of one grid cell over its seeded runs."""
-    cfg, runs, val_frac = payload
     maes, rmses = [], []
-    for run in range(runs):
-        seed = cfg.seed + run
-        inner_train, holdout = split(_grid_matrix, 1.0 - val_frac, seed)
-        if holdout.n_observed == 0:
-            raise ValueError("validation carve-out is empty; matrix too small for val-frac")
-        if inner_train.n_observed == 0:
-            raise ValueError("training carve-out is empty; val-frac too large for the matrix")
-        result = selftrain_loop(inner_train, dataclasses.replace(cfg, seed=seed), holdout)
+    for run, (train, val) in enumerate(_grid_runs):
+        result = selftrain_loop(train, dataclasses.replace(cfg, seed=cfg.seed + run), val)
         last = result.reports[-1]
         maes.append(last.test_mae)
         rmses.append(last.test_rmse)
@@ -203,23 +195,23 @@ def cmd_gridsearch(args, parser) -> int:
         for lam, tau1, s in cells
     ]
     y = load_matrix(args.input)
-    payloads = [(cfg, args.runs, args.val_frac) for cfg in configs]
+    # every cell runs on the same carve-outs, so an input no cell can run on writes nothing
+    runs = [split(y, 1.0 - args.val_frac, args.seed + run) for run in range(args.runs)]
+    for train, val in runs:
+        if val.n_observed == 0:
+            return _fail("validation carve-out is empty; matrix too small for val-frac")
+        if train.n_observed == 0:
+            return _fail("training carve-out is empty; val-frac too large for the matrix")
+        check_inputs(train, val)
     best = None
     # the CPUs this process may run on, where the platform reports its affinity
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(args.workers, cpus or 1)
-    with open(args.out, "w", newline="") as out, ExitStack() as stack:
+    workers = min(args.workers, cpus or 1, len(cells))
+    with open(args.out, "w", newline="") as out, ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_grid_runs, initargs=(runs,)) as pool:
         out.write("lambda,tau1,s,mae,rmse\n")
         try:
-            if workers > 1:
-                pool = stack.enter_context(ProcessPoolExecutor(
-                    max_workers=workers, initializer=_set_grid_matrix, initargs=(y,)))
-                results = pool.map(_grid_cell, payloads)
-            else:
-                _set_grid_matrix(y)
-                stack.callback(_set_grid_matrix, None)
-                results = map(_grid_cell, payloads)
-            for (lam, tau1, s), (mae_v, rmse_v) in zip(cells, results):
+            for (lam, tau1, s), (mae_v, rmse_v) in zip(cells, pool.map(_grid_cell, configs)):
                 out.write(f"{lam:.6g},{tau1:g},{s:g},{mae_v:.6f},{rmse_v:.6f}\n")
                 out.flush()
                 if best is None or mae_v < best[3]:

@@ -439,15 +439,28 @@ def test_gridsearch_bad_grid_is_usage_error(toy_files, grid):
     ([], "validation carve-out is empty; matrix too small for val-frac"),
     (["--val-frac", "0.9"], "training carve-out is empty; val-frac too large for the matrix"),
 ], ids=["validation", "training"])
-def test_gridsearch_empty_carve_out_keeps_the_header(tmp_path, capsys, extra, message):
+def test_gridsearch_empty_carve_out_writes_nothing(tmp_path, capsys, extra, message):
     tiny, out = tmp_path / "tiny.stmat", tmp_path / "grid.csv"
     save_matrix(SparseRatingMatrix.from_triples(3, 3, 5, [(0, 0, 3), (1, 1, 4)]), tiny)
     assert run(grid_args(tiny, out, "--lambda-grid", "0.2", "--tau1-grid", "30",
                          "--s-grid", "100", *extra)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_gridsearch_input_the_loop_rejects_writes_nothing(tmp_path, capsys):
+    """A 2-level scale has no average threshold gap: the carve-outs are
+    checked with the loop's own input checks before the CSV is created."""
+    rng = np.random.default_rng(0)
+    cells = rng.choice(30 * 20, size=200, replace=False)
+    two_level, out = tmp_path / "two.stmat", tmp_path / "grid.csv"
+    save_matrix(SparseRatingMatrix.from_triples(
+        30, 20, 2, [(c // 20, c % 20, 1 + c % 2) for c in cells.tolist()]), two_level)
+    assert run(["gridsearch", two_level, "--lambda-grid", "1", "--tau1-grid", "30",
+                "--s-grid", "100", "--iters", "1", "--out", out]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"error: grid search aborted: {message}; partial CSV kept at {out}"
-    ]
-    assert out.read_text() == "lambda,tau1,s,mae,rmse\n"
+        "error: average threshold gap needs a rating scale of at least 3"]
+    assert not out.exists()
 
 
 def test_gridsearch_overflowing_objective_keeps_the_finished_rows(toy_files, capsys):
@@ -585,29 +598,39 @@ def serial_pool(monkeypatch):
             return map(fn, payloads)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli, "_grid_matrix", None)
+    monkeypatch.setattr(cli, "_grid_runs", None)
     # 3 CPUs in this process's affinity set on an 8-CPU machine
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     return pools
 
 
+# 9 cells, more than the 3 or 8 CPUs the pool is capped at
+NINE_CELLS = ["--lambda-grid", "0.2,0.5,1", "--tau1-grid", "30", "--s-grid", "50,80,100"]
+
+
 def test_gridsearch_workers_clamped_to_cpu_count(toy_files, serial_pool):
     tmp_path, train_path, _ = toy_files
     out = tmp_path / "grid.csv"
-    grid = ["--lambda-grid", "0.2", "--tau1-grid", "30", "--s-grid", "100"]
-    assert run(grid_args(train_path, out, *grid, "--workers", "4096")) == 0
+    assert run(grid_args(train_path, out, *NINE_CELLS, "--workers", "4096")) == 0
     assert serial_pool == [3]
-    assert len(out.read_text().splitlines()) == 2
+    assert len(out.read_text().splitlines()) == 10
 
 
 def test_gridsearch_workers_clamped_to_cpu_count_without_affinity(toy_files, serial_pool,
                                                                    monkeypatch):
     tmp_path, train_path, _ = toy_files
     monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    assert run(grid_args(train_path, tmp_path / "grid.csv", *NINE_CELLS,
+                         "--workers", "4096")) == 0
+    assert serial_pool == [8]
+
+
+def test_gridsearch_workers_clamped_to_cell_count(toy_files, serial_pool):
+    tmp_path, train_path, _ = toy_files
     grid = ["--lambda-grid", "0.2", "--tau1-grid", "30", "--s-grid", "100"]
     assert run(grid_args(train_path, tmp_path / "grid.csv", *grid, "--workers", "4096")) == 0
-    assert serial_pool == [8]
+    assert serial_pool == [1]  # no idle worker is started
 
 
 def test_gridsearch_cell_payload_holds_no_matrix(toy_files, serial_pool, monkeypatch):
@@ -616,17 +639,29 @@ def test_gridsearch_cell_payload_holds_no_matrix(toy_files, serial_pool, monkeyp
 
     def recording_cell(payload):
         payloads.append(payload)
-        assert cli._grid_matrix.content_hash() == load_matrix(train_path).content_hash()
         return cell(payload)
 
     monkeypatch.setattr(cli, "_grid_cell", recording_cell)
     grid = ["--lambda-grid", "0.2,1", "--tau1-grid", "30", "--s-grid", "100"]
     for workers in ("2", "1"):
         assert run(grid_args(train_path, tmp_path / "grid.csv", *grid, "--workers", workers)) == 0
-    assert serial_pool == [2]
+    assert serial_pool == [2, 1]  # every --workers value runs through the pool
     assert len(payloads) == 4
-    assert not any(isinstance(v, SparseRatingMatrix) for p in payloads for v in p)
-    assert cli._grid_matrix is None  # the serial run lets go of its matrix
+    assert all(type(p) is SelfTrainConfig for p in payloads)
+
+
+def test_gridsearch_carves_each_run_once(toy_files, monkeypatch):
+    tmp_path, train_path, _ = toy_files
+    calls, carve = [], cli.split
+
+    def counting_split(*args):
+        calls.append(args[1:])
+        return carve(*args)
+
+    monkeypatch.setattr(cli, "split", counting_split)
+    grid = ["--lambda-grid", "0.2,1", "--tau1-grid", "30", "--s-grid", "50,100"]
+    assert run(grid_args(train_path, tmp_path / "grid.csv", *grid, "--runs", "2")) == 0
+    assert calls == [(0.9, 0), (0.9, 1)]  # one carve-out per run, not per cell and run
 
 
 # ------------------------------------------------------------ baseline rounds
