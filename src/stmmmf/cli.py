@@ -103,24 +103,24 @@ def cmd_selftrain(args, parser) -> int:
         f"sample_pct={cfg.sample_pct:g} cap={cfg.cap} rounds={cfg.max_rounds} "
         f"seed={cfg.seed}"
     )
-    if args.snapshot_every > 0:
-        snap_dir.mkdir(exist_ok=True)
-        save_matrix(y, snap_dir / "round_000.stmat")
-    with open(out_dir / "reports.jsonl", "w") as jsonl, \
-            open(out_dir / "reports.csv", "w", newline="") as csv:
-        csv.write(",".join(REPORT_CSV_COLUMNS) + "\n")
 
-        def on_round(report, model, y_in, y_out):
+    def on_round(report, model, y_in, y_out):
+        # the reports and snapshots are written only here, so a run failing in round 1 writes none
+        first = report.iteration == 1
+        with open(out_dir / "reports.jsonl", "w" if first else "a") as jsonl, \
+                open(out_dir / "reports.csv", "w" if first else "a", newline="") as csv:
+            if first:
+                csv.write(",".join(REPORT_CSV_COLUMNS) + "\n")
             jsonl.write(report.to_json() + "\n")
-            jsonl.flush()
             csv.write(",".join(report.to_csv_row()) + "\n")
-            csv.flush()
-            if args.snapshot_every > 0 and report.iteration % args.snapshot_every == 0:
-                save_matrix(y_out, snap_dir / f"round_{report.iteration:03d}.stmat")
+        if args.snapshot_every > 0 and first:
+            snap_dir.mkdir(exist_ok=True)
+            save_matrix(y_in, snap_dir / "round_000.stmat")
+        if args.snapshot_every > 0 and report.iteration % args.snapshot_every == 0:
+            save_matrix(y_out, snap_dir / f"round_{report.iteration:03d}.stmat")
 
-        result = selftrain_loop(y, cfg, test, callback=on_round)
-    if result.model is not None:
-        save_checkpoint(result.model, out_dir / "model.stmmmf")
+    result = selftrain_loop(y, cfg, test, callback=on_round)
+    save_checkpoint(result.model, out_dir / "model.stmmmf")
     print(f"stopped after {len(result.reports)} rounds ({result.stop_reason})")
     return 0
 
@@ -249,10 +249,9 @@ def cmd_baseline_rounds(args, parser) -> int:
     test = load_matrix(args.test)
     # one snapshot in memory at a time: rounds_experiment iterates once
     matrices = (load_matrix(f) for _, f in numbered)
-    snapshots = rounds_experiment(matrices, test, cfg)
-    with open_text(args.out, "w") as out:
+    with open_text(args.out, "w") as out:  # a bad --out fails before any fit
         out.write("round,mae,rmse\n")
-        for (round_no, _), metrics in zip(numbered, snapshots):
+        for (round_no, _), metrics in zip(numbered, rounds_experiment(matrices, test, cfg)):
             out.write(f"{round_no},{metrics.mae:.6f},{metrics.rmse:.6f}\n")
             print(f"round {round_no}: mae {metrics.mae:.6f} rmse {metrics.rmse:.6f}")
     return 0

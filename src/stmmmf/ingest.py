@@ -24,8 +24,9 @@ MATRIX_MAGIC = "STMAT"
 # both MovieLens layouts rate on 1..5
 MAX_RATING = 5
 
-# Rows per block of the text _format_rows builds: each block's values live
-# as Python objects while it is formatted, so the block bounds that memory.
+# Rows per block of the text _format_rows builds, and lines per block a failed
+# parse re-checks: each block's values live as Python objects while it is
+# handled, so the block bounds that memory.
 FORMAT_BLOCK = 4096
 
 
@@ -159,12 +160,17 @@ def _parse_delimited(source, delimiter: str) -> RawRatings:
         except ValueError:
             if start is None:
                 raise
-            stream.seek(start)  # find the bad line by checking the lines one by one
-            for line_no, line in enumerate(stream, start=1):
+            stream.seek(start)  # find the first block that fails, then its first bad line
+            numbered = enumerate(stream, start=1)
+            for block in iter(lambda: list(itertools.islice(numbered, FORMAT_BLOCK)), []):
                 try:
-                    _rating_table([line], delimiter)
-                except ValueError as exc:
-                    raise ParseError(line_no, str(exc)) from None
+                    _rating_table([line for _, line in block], delimiter)
+                except ValueError:
+                    for line_no, line in block:
+                        try:
+                            _rating_table([line], delimiter)
+                        except ValueError as exc:
+                            raise ParseError(line_no, str(exc)) from None
             raise
     return RawRatings(*table.T)
 

@@ -123,7 +123,7 @@ class IterationReport:
 
 @dataclass
 class SelfTrainResult:
-    model: Optional[FactorModel]
+    model: FactorModel
     reports: list
     stop_reason: str
 
@@ -285,19 +285,17 @@ def selftrain_loop(
 ) -> SelfTrainResult:
     """Run the augment-and-refine rounds until a stop criterion fires.
 
-    Stops at cfg.max_rounds, when the candidate set comes back empty, when
-    the training matrix is empty, or when test MAE has risen strictly for
-    cfg.patience consecutive rounds.  The test matrix is never read by
-    training or modified.  `callback`, when given, is invoked after each
-    round as callback(report, model, y_in, y_out).  Inputs that
-    check_inputs rejects are rejected before the first round.
+    Every stop is read after a round: the candidate set came back empty,
+    test MAE has risen strictly for cfg.patience consecutive rounds, the
+    round emptied the training matrix, or it was round cfg.max_rounds.
+    The test matrix is never read by training or modified.  `callback`, when
+    given, is invoked after each round as callback(report, model, y_in, y_out).
+    Inputs check_inputs rejects, and an empty y0, fail before any solve.
     """
     check_inputs(y0, test)
-    y, model, prev_levels = y0, None, None  # prev_levels: the previous round's candidate grid
+    y, prev_levels = y0, None  # prev_levels: the previous round's candidate grid
     reports: list[IterationReport] = []
     for iteration in range(1, cfg.max_rounds + 1):
-        if y.n_observed == 0:
-            return SelfTrainResult(model, reports, "empty_training_set")
         model, trace = train(y, cfg)
         _, n_clamped = avg_threshold_gaps(model)
         levels = candidate_levels(model, y, cfg.tau_augment)
@@ -345,4 +343,6 @@ def selftrain_loop(
         if len(maes) > cfg.patience and None not in maes and all(
                 a < b for a, b in zip(maes, maes[1:])):
             return SelfTrainResult(model, reports, "test_mae_degrading")
+        if y.n_observed == 0:
+            return SelfTrainResult(model, reports, "empty_training_set")
     return SelfTrainResult(model, reports, "max_rounds")

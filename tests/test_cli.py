@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stmmmf import baseline, cli
+from stmmmf import baseline, cli, selftrain
 from stmmmf.baseline import BaselineConfig, train_baseline
 from stmmmf.cli import DEFAULT_LAMBDA_GRID, DEFAULT_TAU1_GRID, main
 from stmmmf.core import FactorModel, SparseRatingMatrix
@@ -302,6 +302,36 @@ def test_selftrain_overflowing_objective_is_one_error_line(toy_files, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: initial objective is not finite at reg=1e+308"]
     assert not (tmp_path / "run" / "model.stmmmf").exists()
+    assert not any(f.is_file() for f in (tmp_path / "run").rglob("*"))
+
+
+def test_selftrain_failed_in_round_1_can_be_rerun_in_its_out_dir(toy_files, capsys):
+    tmp_path, train_path, test_path = toy_files
+    args = selftrain_args(tmp_path, train_path, test_path) + ["--snapshot-every", "1"]
+    huge = list(args)
+    huge[huge.index("--lambda") + 1] = "1e308"
+    assert run(huge) == 1
+    run_dir = tmp_path / "run"
+    assert [f for f in run_dir.rglob("*") if f.is_file()] == []
+    capsys.readouterr()
+    assert run(args) == 0
+    snaps = run_dir / "snapshots"
+    assert load_matrix(snaps / "round_000.stmat").content_hash() == \
+        load_matrix(train_path).content_hash()
+    assert (snaps / "round_001.stmat").exists()
+
+
+def test_selftrain_interrupted_in_round_1_writes_nothing(toy_files, monkeypatch):
+    tmp_path, train_path, test_path = toy_files
+
+    def interrupted(y, cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(selftrain, "train", interrupted)
+    args = selftrain_args(tmp_path, train_path, test_path) + ["--snapshot-every", "1"]
+    with pytest.raises(KeyboardInterrupt):
+        run(args)
+    assert [f for f in (tmp_path / "run").rglob("*") if f.is_file()] == []
 
 
 def test_flag_defaults_are_the_config_defaults(toy_files, monkeypatch):
@@ -310,7 +340,9 @@ def test_flag_defaults_are_the_config_defaults(toy_files, monkeypatch):
 
     def loop(y, cfg, test=None, callback=None):
         seen.append(cfg)
-        return SelfTrainResult(model=None, reports=[], stop_reason="max_rounds")
+        model = FactorModel(np.zeros((y.n_users, 1)), np.zeros((y.n_items, 1)),
+                            np.zeros((y.n_users, y.max_rating - 1)))
+        return SelfTrainResult(model=model, reports=[], stop_reason="max_rounds")
 
     def rounds(matrices, test, cfg):
         seen.append(cfg)
@@ -700,6 +732,26 @@ def test_baseline_rounds_overflowing_loss_is_one_error_line(toy_files, capsys):
                 "--epochs", "3", "--out", tmp_path / "b.csv"])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == ["error: baseline loss is not finite"]
+
+
+def test_baseline_rounds_checks_out_before_any_fit(toy_files, capsys, monkeypatch):
+    tmp_path, train_path, test_path = toy_files
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    for k in range(3):
+        save_matrix(load_matrix(train_path), snaps / f"round_{k:03d}.stmat")
+    fits = []
+
+    def counting_train(y, cfg):
+        fits.append(y)
+        return train_baseline(y, cfg)
+
+    monkeypatch.setattr(baseline, "train_baseline", counting_train)
+    out = tmp_path / "nodir" / "rounds.csv"
+    assert run(["baseline-rounds", snaps, "--test", test_path, "--epochs", "1",
+                "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: file not found: {out}"]
+    assert fits == []
 
 
 def test_baseline_rounds_orders_snapshots_by_round_number(toy_files, capsys):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from oracle import dense
+from stmmmf import ingest
 from stmmmf.core import SparseRatingMatrix
 from stmmmf.ingest import (
+    FORMAT_BLOCK,
     ParseError,
     RawRatings,
     load_matrix,
@@ -88,6 +90,22 @@ def test_parse_error_counts_lines_from_the_stream_position():
     with pytest.raises(ParseError) as err:
         parse_ml100k(stream)
     assert err.value.line_no == 2
+
+
+def test_parse_error_checks_single_lines_only_in_the_failing_block(monkeypatch):
+    # 9,998 good lines, a blank one, then a bad last line: physical line 10,000
+    text = "1\t2\t3\t4\n" * 9998 + "\n" + "1\tx\t3\t4\n"
+    calls, table = [], ingest._rating_table
+
+    def counting_table(lines, delimiter):
+        calls.append(None)
+        return table(lines, delimiter)
+
+    monkeypatch.setattr(ingest, "_rating_table", counting_table)
+    with pytest.raises(ParseError) as err:
+        parse_ml100k(io.StringIO(text))
+    assert err.value.line_no == 10000
+    assert len(calls) <= -(-10000 // FORMAT_BLOCK) + FORMAT_BLOCK  # one call per line: 10,001
 
 
 class Pipe(io.StringIO):

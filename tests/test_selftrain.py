@@ -7,7 +7,7 @@ import pytest
 
 from oracle import dense
 from stmmmf.core import FactorModel, SparseRatingMatrix, avg_threshold_gaps, discretize_rows
-from stmmmf import selftrain
+from stmmmf import selftrain, trainer
 from stmmmf.evaluation import MetricsSnapshot, split
 from stmmmf.selftrain import (
     SCORE_BLOCK,
@@ -640,10 +640,29 @@ def test_loop_stops_when_no_candidates():
 
 
 def test_loop_on_an_empty_matrix_stops_before_any_solve(monkeypatch):
-    monkeypatch.setattr(selftrain, "train", None)  # no solve may start
-    result = selftrain_loop(SparseRatingMatrix.from_triples(3, 3, 5, []), loop_config())
-    assert result.stop_reason == "empty_training_set"
-    assert result.reports == [] and result.model is None
+    def no_solve(*args):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(trainer, "initial_model", no_solve)  # train's first step
+    with pytest.raises(ValueError, match="cannot train on an empty rating matrix"):
+        selftrain_loop(SparseRatingMatrix.from_triples(3, 3, 5, []), loop_config())
+
+
+def test_loop_stops_after_the_round_that_empties_the_matrix(monkeypatch):
+    train_m, test_m = small_problem()
+    # round 1 refines every entry and samples none of its candidates
+    monkeypatch.setattr(selftrain, "low_confidence_observed",
+                        lambda model, y, tau: np.ones(y.n_observed, dtype=bool))
+    for max_rounds in (1, 4):
+        models = []
+        result = selftrain_loop(
+            train_m, loop_config(max_rounds=max_rounds, sample_pct=1e-9), test_m,
+            callback=lambda report, model, y_in, y_out: models.append((model, y_out)))
+        assert result.stop_reason == "empty_training_set"
+        assert len(result.reports) == 1 and result.reports[0].candidates > 0
+        assert result.reports[0].augmented == 0
+        assert [y_out.n_observed for _, y_out in models] == [0]
+        assert result.model is models[0][0]
 
 
 def test_loop_rejects_a_two_level_scale_before_any_solve(monkeypatch):
