@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseRatingMatrix, row_dots
+from .core import SparseRatingMatrix, check_grid, row_dots
 from .evaluation import MetricsSnapshot, snapshot
 
 # Ratings per mini-batch of train_baseline's gradient passes.
@@ -128,7 +128,7 @@ def rounds_experiment(matrices, test: SparseRatingMatrix, cfg: BaselineConfig):
     """
     out: list[MetricsSnapshot] = []
     for y in matrices:
-        y.check_grid(test, "round matrix")
+        check_grid(y, test, "round matrix", "test set")
         keep = ~test.contains(y.users, y.items)
         y = y if keep.all() else y.select(keep)
         model = train_baseline(y, cfg)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import BaselineConfig, rounds_experiment
+from .core import check_grid
 from .evaluation import confusion, hr_table, snapshot, split
 from .ingest import load_matrix, open_text, parse_ml100k, parse_ml1m, preprocess, save_matrix
 from .selftrain import REPORT_CSV_COLUMNS, SelfTrainConfig, check_inputs, selftrain_loop
@@ -25,11 +26,6 @@ from .trainer import load_checkpoint, predict_ratings, save_checkpoint
 DEFAULT_LAMBDA_GRID = [10 ** (i / 16) for i in range(1, 41, 4)]
 DEFAULT_TAU1_GRID = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 49.99]
 DEFAULT_S_GRID = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0]
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
 
 
 def cmd_ingest(args, parser) -> int:
@@ -88,15 +84,16 @@ def cmd_selftrain(args, parser) -> int:
     )
     y = load_matrix(args.input)
     if y.n_observed == 0:
-        return _fail(f"no ratings to train on in {args.input}")
+        raise ValueError(f"no ratings to train on in {args.input}")
     test = load_matrix(args.test) if args.test else None
     check_inputs(y, test)  # a rejected input writes nothing
     out_dir = Path(args.out_dir)
     snap_dir = out_dir / "snapshots"
-    # baseline-rounds reads every snapshot there, so an earlier run's must not mix in
-    if any(snap_dir.glob("round_*.stmat")):
-        return _fail(f"{snap_dir} already holds round_*.stmat snapshots; "
-                     "choose a new --out-dir")
+    # an earlier run's model, reports or snapshots must not mix with this run's
+    earlier = [p for p in (out_dir / "model.stmmmf", out_dir / "reports.jsonl") if p.exists()]
+    earlier += sorted(snap_dir.glob("round_*.stmat"))
+    if earlier:
+        raise ValueError(f"{earlier[0]} holds an earlier run's output; choose a new --out-dir")
     out_dir.mkdir(parents=True, exist_ok=True)
     print(
         f"tau_augment={cfg.tau_augment:.6g} tau_refine={cfg.tau_refine:.6g} "
@@ -128,10 +125,10 @@ def cmd_selftrain(args, parser) -> int:
 def cmd_evaluate(args, parser) -> int:
     model = load_checkpoint(args.checkpoint)
     test = load_matrix(args.test)
-    model.check_matches(test)
+    check_grid(model, test, "model", "test set")
     train = load_matrix(args.train) if args.train else None
     if train is not None:
-        model.check_matches(train)
+        check_grid(train, model, "--train matrix", "model")
     preds = predict_ratings(model, test.users, test.items, trained_on=train)
     pairs = np.column_stack([test.ratings, preds])
     metrics = snapshot(pairs)
@@ -199,9 +196,9 @@ def cmd_gridsearch(args, parser) -> int:
     runs = [split(y, 1.0 - args.val_frac, args.seed + run) for run in range(args.runs)]
     for train, val in runs:
         if val.n_observed == 0:
-            return _fail("validation carve-out is empty; matrix too small for val-frac")
+            raise ValueError("validation carve-out is empty; matrix too small for val-frac")
         if train.n_observed == 0:
-            return _fail("training carve-out is empty; val-frac too large for the matrix")
+            raise ValueError("training carve-out is empty; val-frac too large for the matrix")
         check_inputs(train, val)
     best = None
     # the CPUs this process may run on, where the platform reports its affinity
@@ -217,7 +214,7 @@ def cmd_gridsearch(args, parser) -> int:
                 if best is None or mae_v < best[3]:
                     best = (lam, tau1, s, mae_v, rmse_v)
         except Exception as exc:  # keep the partial CSV
-            return _fail(f"grid search aborted: {exc}; partial CSV kept at {args.out}")
+            raise ValueError(f"grid search aborted: {exc}; partial CSV kept at {args.out}") from exc
     lam, tau1, s, mae_v, rmse_v = best
     print(f"best lambda={lam:.6g} tau1={tau1:g} s={s:g} mae={mae_v:.6f} rmse={rmse_v:.6f}")
     return 0
@@ -239,13 +236,13 @@ def cmd_baseline_rounds(args, parser) -> int:
     snap_dir = Path(args.snapshots)
     numbered = sorted((_round_number(f), f) for f in snap_dir.glob("round_*.stmat"))
     if not numbered:
-        return _fail(
+        raise ValueError(
             f"no round_*.stmat snapshots in {snap_dir}; "
             "run `stmmmf selftrain --snapshot-every 1` first"
         )
     for (a, first), (b, second) in zip(numbered, numbered[1:]):
         if a == b:
-            return _fail(f"snapshots {first} and {second} are both round {a}")
+            raise ValueError(f"snapshots {first} and {second} are both round {a}")
     test = load_matrix(args.test)
     # one snapshot in memory at a time: rounds_experiment iterates once
     matrices = (load_matrix(f) for _, f in numbered)
@@ -345,10 +342,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, args.parser)
-    except FileNotFoundError as exc:
-        return _fail(f"file not found: {exc.filename}")
     except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+        message = f"file not found: {exc.filename}" if isinstance(exc, FileNotFoundError) else exc
+        print(f"error: {message}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

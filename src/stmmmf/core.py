@@ -1,10 +1,11 @@
 """Domain types and math kernels for ordinal maximum-margin factorization.
 
 Holds the sparse rating matrix, the factor/threshold model, and the pure
-functions everything else composes: blocked row dot products,
-score-to-rating discretization, the per-user average threshold gaps
-used for confidence bands, and the largest-remainder rounding that the
-sampler and the synthetic generator share.
+functions everything else composes: the grid check of two matrices or
+models, blocked row dot products, score-to-rating discretization, the
+per-user average threshold gaps used for confidence bands, and the
+largest-remainder rounding that the sampler and the synthetic generator
+share.
 """
 
 from __future__ import annotations
@@ -166,12 +167,6 @@ class SparseRatingMatrix:
         h.update(self.ratings.tobytes())
         return h.hexdigest()
 
-    def check_grid(self, test: "SparseRatingMatrix", name: str):
-        """Raise ValueError, naming this matrix `name`, unless its grid is `test`'s."""
-        grid, test_grid = ((m.n_users, m.n_items, m.max_rating) for m in (self, test))
-        if grid != test_grid:
-            raise ValueError(f"{name} grid {grid} differs from the test set's {test_grid}")
-
     def select(self, idx) -> "SparseRatingMatrix":
         """The entries picked by an index array or boolean mask, same grid."""
         return SparseRatingMatrix(
@@ -235,12 +230,13 @@ class FactorModel:
         """Scores U[users] . V[items] of (user, item) index arrays."""
         return row_dots(self.user_factors, users, self.item_factors, items)
 
-    def check_matches(self, y: SparseRatingMatrix):
-        """Raise ValueError unless y has this model's users, items and scale."""
-        if self.n_users != y.n_users or self.n_items != y.n_items:
-            raise ValueError("model and matrix dimensions differ")
-        if self.max_rating != y.max_rating:
-            raise ValueError("model and matrix rating scales differ")
+
+def check_grid(a, b, a_name: str, b_name: str):
+    """Raise ValueError, naming both sides, unless a and b (matrices or
+    models) share their users, items and rating scale."""
+    grid_a, grid_b = ((m.n_users, m.n_items, m.max_rating) for m in (a, b))
+    if grid_a != grid_b:
+        raise ValueError(f"{a_name} grid {grid_a} differs from the {b_name}'s {grid_b}")
 
 
 def discretize_rows(threshold_rows: np.ndarray, scores: np.ndarray, margin=0.0) -> np.ndarray:

@@ -30,14 +30,6 @@ MAX_RATING = 5
 FORMAT_BLOCK = 4096
 
 
-class ParseError(ValueError):
-    """A malformed rating-file line; carries its 1-based line number in the stream."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
 @dataclass(frozen=True)
 class RawRatings:
     """Rating triples with their external ids, before compaction.  A parsed
@@ -153,6 +145,8 @@ def _rating_table(lines, delimiter: str) -> np.ndarray:
 
 
 def _parse_delimited(source, delimiter: str) -> RawRatings:
+    """Rating triples of a delimited file; a malformed line raises ValueError("line N:
+    ..."), N counting physical lines from the stream's position."""
     with open_text(source) as stream:  # a stream that cannot seek gets no line numbers
         start = stream.tell() if stream.seekable() else None
         try:
@@ -170,7 +164,7 @@ def _parse_delimited(source, delimiter: str) -> RawRatings:
                         try:
                             _rating_table([line], delimiter)
                         except ValueError as exc:
-                            raise ParseError(line_no, str(exc)) from None
+                            raise ValueError(f"line {line_no}: {exc}") from None
             raise
     return RawRatings(*table.T)
 

@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    FactorModel, SparseRatingMatrix, _largest_remainder, avg_threshold_gaps, discretize_rows,
+    FactorModel, SparseRatingMatrix, _largest_remainder, avg_threshold_gaps, check_grid,
+    discretize_rows,
 )
 from .evaluation import snapshot
 from .trainer import predict_ratings, train
@@ -140,7 +141,7 @@ def candidate_levels(model: FactorModel, y: SparseRatingMatrix, tau_augment: flo
     """
     if not 0.0 < tau_augment < 0.5:
         raise ValueError("tau_augment must lie in (0, 0.5)")
-    model.check_matches(y)
+    check_grid(model, y, "model", "matrix")
     gaps, _ = avg_threshold_gaps(model)
     margin = gaps * tau_augment
     grid = np.empty((y.n_users, y.n_items), dtype=np.min_scalar_type(y.max_rating))
@@ -164,7 +165,7 @@ def low_confidence_observed(
     """
     if not 0.0 < tau_refine < 0.5:
         raise ValueError("tau_refine must lie in (0, 0.5)")
-    model.check_matches(y)
+    check_grid(model, y, "model", "matrix")
     gaps, _ = avg_threshold_gaps(model)
     scores = model.scores(y.users, y.items)[:, None]
     margin = gaps[y.users] * tau_refine
@@ -272,7 +273,7 @@ def check_inputs(y0: SparseRatingMatrix, test: Optional[SparseRatingMatrix] = No
     if y0.max_rating < 3:
         raise ValueError("average threshold gap needs a rating scale of at least 3")
     if test is not None:
-        y0.check_grid(test, "training matrix")
+        check_grid(y0, test, "training matrix", "test set")
         if np.any(y0.contains(test.users, test.items)):
             raise ValueError("test matrix overlaps the training matrix")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .core import FactorModel, SparseRatingMatrix, discretize_rows, row_dots
+from .core import FactorModel, SparseRatingMatrix, check_grid, discretize_rows, row_dots
 from .ingest import _format_rows, _read_header, _read_table, open_text
 
 CHECKPOINT_MAGIC = "STMMMF"
@@ -84,7 +84,7 @@ class HingeLoss:
         """(value, (g_user, g_item, g_theta)); users or items with no
         observed ratings only receive the regularizer term (zero for
         thresholds)."""
-        model.check_matches(self.y)
+        check_grid(model, self.y, "model", "training matrix")
         U, V, y, reg = model.user_factors, model.item_factors, self.y, self.reg
         x = row_dots(U, y.users, V, y.items)
         z = np.repeat(model.thresholds.T, self._counts, axis=1)

@@ -266,9 +266,55 @@ def test_selftrain_refuses_snapshots_of_an_earlier_run(toy_files, capsys):
     for extra in (["--snapshot-every", "1"], []):
         assert run(again + extra) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {run_dir / 'snapshots'} already holds round_*.stmat snapshots; "
+            f"error: {run_dir / 'model.stmmmf'} holds an earlier run's output; "
             "choose a new --out-dir"]
         assert {f: f.read_bytes() for f in run_dir.rglob("*") if f.is_file()} == before
+
+
+@pytest.mark.parametrize("left", ["model.stmmmf", "reports.jsonl", "snapshots/round_001.stmat"])
+def test_selftrain_refuses_any_one_file_of_an_earlier_run(toy_files, capsys, left):
+    tmp_path, train_path, test_path = toy_files
+    args = selftrain_args(tmp_path, train_path, test_path) + ["--snapshot-every", "1"]
+    assert run(args) == 0
+    run_dir = tmp_path / "run"
+    for f in run_dir.rglob("*"):
+        if f.is_file() and f != run_dir / left:
+            f.unlink()
+    capsys.readouterr()
+    assert run(args) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {run_dir / left} holds an earlier run's output; choose a new --out-dir"]
+    assert [f for f in run_dir.rglob("*") if f.is_file()] == [run_dir / left]
+
+
+def test_selftrain_rerun_into_a_finished_run_is_refused_before_any_solve(
+        tmp_path, monkeypatch, capsys):
+    full = planted_matrix(planted_model(60, 80, rank=2, seed=1), observed_frac=0.5, seed=2)
+    assert full.n_observed == 2400
+    train_path, test_path = tmp_path / "train.stmat", tmp_path / "test.stmat"
+    for m, path in zip(split(full, 0.8, seed=1), (train_path, test_path)):
+        save_matrix(m, path)
+    run_dir = tmp_path / "run"
+    args = ["selftrain", train_path, "--test", test_path, "--iters", "2", "--out-dir", run_dir]
+    assert run(args) == 0  # a finished run without snapshots
+    before = {f: f.read_bytes() for f in run_dir.rglob("*") if f.is_file()}
+    assert run_dir / "model.stmmmf" in before
+    calls, solve = [], selftrain.train
+
+    def interrupted_in_round_2(y, cfg):
+        calls.append(None)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return solve(y, cfg)
+
+    monkeypatch.setattr(selftrain, "train", interrupted_in_round_2)
+    capsys.readouterr()
+    assert run(args + ["--seed", "7"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {run_dir / 'model.stmmmf'} holds an earlier run's output; "
+        "choose a new --out-dir"]
+    assert calls == []
+    assert {f: f.read_bytes() for f in run_dir.rglob("*") if f.is_file()} == before
 
 
 def test_selftrain_negative_snapshot_every_is_usage_error(toy_files, capsys):
@@ -399,8 +445,24 @@ def test_evaluate_shape_mismatch(tmp_path, capsys):
     ckpt, tpath = tmp_path / "m.stmmmf", tmp_path / "t.stmat"
     save_checkpoint(model, ckpt)
     save_matrix(test_m, tpath)
-    assert run(["evaluate", ckpt, "--test", tpath]) != 0
-    assert "dimensions differ" in capsys.readouterr().err
+    assert run(["evaluate", ckpt, "--test", tpath]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: model grid (2, 2, 5) differs from the test set's (3, 2, 5)"]
+
+
+def test_evaluate_train_on_another_grid_is_one_error_line(tmp_path, capsys):
+    model = FactorModel(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 4)))
+    test_m = SparseRatingMatrix.from_triples(2, 2, 5, [(1, 0, 1)])
+    train_m = SparseRatingMatrix.from_triples(2, 3, 5, [(0, 2, 4)])
+    ckpt, tpath, trpath = tmp_path / "m.stmmmf", tmp_path / "t.stmat", tmp_path / "tr.stmat"
+    save_checkpoint(model, ckpt)
+    save_matrix(test_m, tpath)
+    save_matrix(train_m, trpath)
+    assert run(["evaluate", ckpt, "--test", tpath, "--train", trpath]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: --train matrix grid (2, 3, 5) differs from the model's (2, 2, 5)"]
 
 
 # ----------------------------------------------------------------- gridsearch

@@ -10,6 +10,7 @@ from stmmmf.core import (
     FactorModel,
     SparseRatingMatrix,
     avg_threshold_gaps,
+    check_grid,
     discretize_rows,
     row_dots,
 )
@@ -345,10 +346,38 @@ def test_model_validation():
     (lambda: FactorModel(np.zeros(2), np.zeros((3, 1)), np.zeros((2, 4))), "must be 2-D"),
     (lambda: FactorModel(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 0))),
      "at least one threshold column"),
-    (lambda: FactorModel(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 2))).check_matches(
-        SparseRatingMatrix.from_triples(2, 3, 5, [])), "rating scales differ"),
+    (lambda: check_grid(FactorModel(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 2))),
+                        SparseRatingMatrix.from_triples(2, 3, 5, []), "model", "matrix"),
+     r"model grid \(2, 3, 3\) differs from the matrix's \(2, 3, 5\)"),
 ], ids=["no-users", "one-level", "unequal-length", "2-d-entries", "item-range",
         "shares-of-nothing", "1-d-factors", "no-thresholds", "scale-mismatch"])
 def test_guards_reject_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# ------------------------------------------------------------------ grid check
+
+def grid_model(n_users, n_items, max_rating):
+    return FactorModel(np.zeros((n_users, 2)), np.zeros((n_items, 2)),
+                       np.zeros((n_users, max_rating - 1)))
+
+
+def grid_matrix(n_users, n_items, max_rating):
+    return SparseRatingMatrix.from_triples(n_users, n_items, max_rating, [(0, 0, 1)])
+
+
+@pytest.mark.parametrize("make_a", [grid_model, grid_matrix], ids=["model", "matrix"])
+@pytest.mark.parametrize("b_grid", [(5, 4, 5), (4, 5, 5), (4, 4, 3)],
+                         ids=["users", "items", "scale"])
+def test_check_grid_names_both_sides_and_both_grids(make_a, b_grid):
+    a, b = make_a(4, 4, 5), grid_matrix(*b_grid)
+    with pytest.raises(ValueError) as err:
+        check_grid(a, b, "left side", "right side")
+    assert str(err.value) == f"left side grid (4, 4, 5) differs from the right side's {b_grid}"
+
+
+@pytest.mark.parametrize("make_a", [grid_model, grid_matrix], ids=["model", "matrix"])
+@pytest.mark.parametrize("make_b", [grid_model, grid_matrix], ids=["model", "matrix"])
+def test_check_grid_passes_equal_grids(make_a, make_b):
+    assert check_grid(make_a(4, 3, 5), make_b(4, 3, 5), "a", "b") is None

@@ -10,7 +10,6 @@ from stmmmf import ingest
 from stmmmf.core import SparseRatingMatrix
 from stmmmf.ingest import (
     FORMAT_BLOCK,
-    ParseError,
     RawRatings,
     load_matrix,
     open_text,
@@ -42,13 +41,12 @@ def test_parse_ml100k_empty_stream():
 
 def test_parse_ml100k_malformed_line_number():
     stream = io.StringIO("1\t2\t3\t4\na\tb\tc\td\n")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValueError, match="^line 2: "):
         parse_ml100k(stream)
-    assert err.value.line_no == 2
 
 
 def test_parse_ml100k_wrong_field_count():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValueError, match="^line 1: "):
         parse_ml100k(io.StringIO("1\t2\t3\n"))
 
 
@@ -58,9 +56,9 @@ def test_parse_ml1m_line():
 
 
 def test_parse_rating_out_of_scale():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValueError, match="^line 1: "):
         parse_ml1m(io.StringIO("1::2::0::3\n"))
-    with pytest.raises(ParseError):
+    with pytest.raises(ValueError, match="^line 1: "):
         parse_ml100k(io.StringIO("1\t2\t6\t3\n"))
 
 
@@ -79,17 +77,15 @@ def test_parse_ignores_trailing_blank_lines():
     (parse_ml1m, "\n\n1:2::3::4\n", 3),                    # single colon
 ])
 def test_parse_error_names_physical_line(parse, text, line_no):
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValueError, match=f"^line {line_no}: "):
         parse(io.StringIO(text))
-    assert err.value.line_no == line_no
 
 
 def test_parse_error_counts_lines_from_the_stream_position():
     stream = io.StringIO("user\titem\trating\ttime\n1\t2\t3\t4\n1\tx\t3\t4\n")
     stream.readline()
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValueError, match="^line 2: "):
         parse_ml100k(stream)
-    assert err.value.line_no == 2
 
 
 def test_parse_error_checks_single_lines_only_in_the_failing_block(monkeypatch):
@@ -102,9 +98,8 @@ def test_parse_error_checks_single_lines_only_in_the_failing_block(monkeypatch):
         return table(lines, delimiter)
 
     monkeypatch.setattr(ingest, "_rating_table", counting_table)
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValueError, match="^line 10000: "):
         parse_ml100k(io.StringIO(text))
-    assert err.value.line_no == 10000
     assert len(calls) <= -(-10000 // FORMAT_BLOCK) + FORMAT_BLOCK  # one call per line: 10,001
 
 
@@ -119,7 +114,6 @@ def test_parse_error_on_a_stream_that_cannot_seek_has_no_line_number():
     assert len(parse_ml100k(Pipe("1\t2\t3\t4\n"))) == 1
     with pytest.raises(ValueError) as err:
         parse_ml100k(Pipe("1\t2\t3\t4\n1\tx\t3\t4\n"))
-    assert not isinstance(err.value, ParseError)
     assert not str(err.value).startswith("line ")
 
 

@@ -547,6 +547,20 @@ def test_loop_first_report_counts():
     assert report.overlap is None and report.retained_frac is None
 
 
+def test_report_counts_gap_clamps(monkeypatch):
+    train_m, test_m = small_problem()
+    theta = np.tile(UNIT_THETA, (train_m.n_users, 1))
+    theta[0] = 2.0                # collapsed: every gap is 0
+    theta[1] = UNIT_THETA[::-1]   # inverted: the average gap is -1
+    model = FactorModel(np.zeros((train_m.n_users, 2)), np.ones((train_m.n_items, 2)), theta)
+    trace = trainer.TrainTrace(objectives=np.array([1.0]), iterations=0, converged=False,
+                               order_violations=0, kernel_calls=1)
+    monkeypatch.setattr(selftrain, "train", lambda y, cfg: (model, trace))
+    report = selftrain_loop(train_m, loop_config(max_rounds=1), test_m).reports[0]
+    assert report.gap_clamps == 2
+    assert json.loads(report.to_json())["gap_clamps"] == 2
+
+
 def test_loop_releases_each_rounds_candidates_before_the_next_solve(monkeypatch):
     """Only the previous round's candidate grid crosses a round: no older
     grid is alive when the next solve starts."""
