@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +174,8 @@ def _grid_cell(cfg):
 
 
 def cmd_gridsearch(args, parser) -> int:
+    from concurrent.futures import ProcessPoolExecutor  # 15 ms and 2 MB, paid only here
+
     if not 0.0 < args.val_frac < 1.0:
         parser.error("val-frac must lie in (0, 1)")
     if args.runs < 1:
@@ -270,8 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     loop.add_argument("--gd-iters", type=int, default=SelfTrainConfig.gd_iters)
     loop.add_argument("--tol", type=float, default=SelfTrainConfig.tol)
     loop.add_argument("--tau2", type=float, default=SelfTrainConfig.tau_refine * 100.0,
-                      help="refinement band half-width, percent of the average gap")
-    loop.add_argument("--cap", type=int, default=SelfTrainConfig.cap)
+                      help="refinement band half-width, percent of the average gap; "
+                           "0 refines nothing")
+    loop.add_argument("--cap", type=int, default=SelfTrainConfig.cap,
+                      help="most pseudo-ratings added per round; 0 adds none")
     loop.add_argument("--seed", type=int, default=SelfTrainConfig.seed)
 
     p = sub.add_parser("ingest", help="parse a rating file into an STMAT matrix")

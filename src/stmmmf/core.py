@@ -10,7 +10,6 @@ share.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,6 +159,8 @@ class SparseRatingMatrix:
 
     def content_hash(self) -> str:
         """SHA-256 over the canonical entry listing; equal iff same content."""
+        import hashlib  # 3 ms and 3.5 MB (OpenSSL), paid only by callers that hash
+
         h = hashlib.sha256()
         h.update(f"{self.n_users} {self.n_items} {self.max_rating}\n".encode())
         h.update(self.users.tobytes())

@@ -38,7 +38,9 @@ class SelfTrainConfig:
     n_factors, reg, lr, gd_iters, tol and seed configure each round's solve
     (see trainer.train).  tau_augment and tau_refine are fractions of the
     per-user average threshold gap; sample_pct is the percentage of the
-    candidate set sampled each round, capped at `cap` entries.
+    candidate set sampled each round, capped at `cap` entries.  Zero
+    switches a stage off: tau_refine = 0 refines nothing (the margin-0
+    bands cover the line) and cap = 0 augments nothing.
     """
 
     n_factors: int = 10
@@ -64,12 +66,12 @@ class SelfTrainConfig:
                 raise ValueError(f"{name} must be finite and > 0")
         if not 0.0 <= self.tol < np.inf:
             raise ValueError("tol must be finite and >= 0")
-        if not 0.0 < self.tau_refine < self.tau_augment < 0.5:
-            raise ValueError("need 0 < tau_refine < tau_augment < 0.5")
+        if not 0.0 <= self.tau_refine < self.tau_augment < 0.5:
+            raise ValueError("need 0 <= tau_refine < tau_augment < 0.5")
         if not 0.0 < self.sample_pct <= 100.0:
             raise ValueError("sample_pct must lie in (0, 100]")
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
+        if self.cap < 0:
+            raise ValueError("cap must be >= 0")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.patience < 1:
@@ -161,10 +163,10 @@ def low_confidence_observed(
 
     On a sorted threshold row that means within tau_refine gaps of a stored
     threshold, apart from exact float ties.  On any row, a cell confident
-    at a larger tau is never flagged.
+    at a larger tau is never flagged, and at tau_refine = 0 no cell is.
     """
-    if not 0.0 < tau_refine < 0.5:
-        raise ValueError("tau_refine must lie in (0, 0.5)")
+    if not 0.0 <= tau_refine < 0.5:
+        raise ValueError("tau_refine must lie in [0, 0.5)")
     check_grid(model, y, "model", "matrix")
     gaps, _ = avg_threshold_gaps(model)
     scores = model.scores(y.users, y.items)[:, None]
@@ -208,8 +210,8 @@ def sample_augment(
     """
     if not 0.0 < sample_pct <= 100.0:
         raise ValueError("sample_pct must lie in (0, 100]")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     n_levels, (n_users, n_items) = len(shares), levels.shape
     flat = levels.ravel()
     n = int(np.count_nonzero(flat))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -196,6 +197,15 @@ def test_selftrain_rejects_bad_tau(toy_files):
     with pytest.raises(SystemExit):
         run(selftrain_args(tmp_path, train_path, test_path, tau2="60"))
     assert not (tmp_path / "run").exists()  # validated before any output
+
+
+def test_selftrain_tau2_0_and_cap_0_switch_both_stages_off(toy_files):
+    tmp_path, train_path, test_path = toy_files
+    assert run(selftrain_args(tmp_path, train_path, test_path, tau2="0", cap="0")) == 0
+    reports = [json.loads(line) for line in
+               (tmp_path / "run" / "reports.jsonl").read_text().splitlines()]
+    assert [(r["refined"], r["augmented"]) for r in reports] == [(0, 0), (0, 0)]
+    assert reports[0]["observed"] == reports[1]["observed"]
 
 
 def test_selftrain_zero_dim_is_usage_error(toy_files):
@@ -571,6 +581,8 @@ def test_gridsearch_overflowing_objective_keeps_the_finished_rows(toy_files, cap
 
 @pytest.mark.parametrize("argv", [
     ["selftrain", "{train}", "--dim", "0"],
+    ["selftrain", "{train}", "--tau2", "-1"],
+    ["selftrain", "{train}", "--cap", "-1"],
     ["split", "{train}", "--frac", "1.0"],
     ["gridsearch", "{train}", "--runs", "0"],
     ["gridsearch", "{train}", "--lambda-grid", "0.2,x"],
@@ -593,8 +605,9 @@ def test_gridsearch_overflowing_objective_keeps_the_finished_rows(toy_files, cap
     ["baseline-rounds", "{train}", "--test", "{train}", "--lr", "inf"],
     ["baseline-rounds", "{train}", "--test", "{train}", "--reg", "nan"],
     ["baseline-rounds", "{train}", "--test", "{train}", "--reg", "inf"],
-], ids=["selftrain-dim", "split-frac", "gridsearch-runs", "gridsearch-grid",
-        "baseline-epochs", "baseline-lr", "baseline-reg", "baseline-dim",
+], ids=["selftrain-dim", "selftrain-tau2-negative", "selftrain-cap-negative", "split-frac",
+        "gridsearch-runs", "gridsearch-grid", "baseline-epochs", "baseline-lr", "baseline-reg",
+        "baseline-dim",
         "selftrain-seed", "gridsearch-seed", "baseline-seed", "split-seed",
         "ingest-min-ratings", "selftrain-lr-nan", "selftrain-lr-inf", "selftrain-tol-nan",
         "selftrain-lambda-nan", "selftrain-lambda-inf", "gridsearch-lr-nan",
@@ -655,6 +668,48 @@ def test_outputs_do_not_depend_on_blas_threads_or_workers(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# Runs each argv of the JSON list in sys.argv[1] through cli.main and prints,
+# after each, which of the modules only a solve, a hash or a pool needs are loaded.
+LOADED_SCRIPT = (
+    "import json, sys\nfrom stmmmf.cli import main\n"
+    "heavy = ('scipy.sparse', '_hashlib', 'concurrent.futures.process')\nloaded = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    assert main(argv) == 0, argv\n"
+    "    loaded.append([m for m in heavy if m in sys.modules])\n"
+    "print(json.dumps(loaded))")
+
+
+def test_commands_that_never_solve_never_load_scipy(toy_files):
+    tmp_path, train_path, test_path = toy_files
+    y = load_matrix(train_path)
+    ratings = tmp_path / "u.data"
+    ratings.write_text("".join(f"{u + 1}\t{i + 1}\t{r}\t0\n"
+                               for u, i, r in zip(y.users, y.items, y.ratings)))
+    save_checkpoint(planted_model(y.n_users, y.n_items, rank=2, seed=1), tmp_path / "m.stmmmf")
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    save_matrix(y, snaps / "round_000.stmat")
+    argvs = [
+        ["ingest", ratings, "--out", tmp_path / "y.stmat", "--min-ratings", "0"],
+        ["evaluate", tmp_path / "m.stmmmf", "--test", test_path, "--train", train_path],
+        ["split", tmp_path / "y.stmat", "--train-out", tmp_path / "a.stmat",
+         "--test-out", tmp_path / "b.stmat"],
+        ["baseline-rounds", snaps, "--test", test_path, "--epochs", "1",
+         "--out", tmp_path / "rounds.csv"],
+        selftrain_args(tmp_path, train_path, test_path, iters="1"),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argvs = json.dumps([[str(a) for a in argv] for argv in argvs])
+    done = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, argvs], env=env, check=True,
+                          capture_output=True, text=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded[:2] == [[], []]
+    # split and baseline-rounds seed numpy.random, whose import loads _hashlib itself
+    assert [[m for m in names if m != "_hashlib"] for names in loaded] == [
+        [], [], [], [], ["scipy.sparse"]]
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_gridsearch_nonpositive_workers_is_usage_error(toy_files, capsys, workers):
     tmp_path, train_path, _ = toy_files
@@ -691,7 +746,8 @@ def serial_pool(monkeypatch):
         def map(self, fn, payloads):
             return map(fn, payloads)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # cmd_gridsearch imports the pool class from concurrent.futures when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli, "_grid_runs", None)
     # 3 CPUs in this process's affinity set on an 8-CPU machine
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)

@@ -456,8 +456,10 @@ def test_config_validation():
         SelfTrainConfig(sample_pct=0.0)
     with pytest.raises(ValueError):
         SelfTrainConfig(sample_pct=101.0)
-    with pytest.raises(ValueError):
-        SelfTrainConfig(cap=0)
+    with pytest.raises(ValueError, match="need 0 <= tau_refine"):
+        SelfTrainConfig(tau_refine=-0.1)
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        SelfTrainConfig(cap=-1)
     with pytest.raises(ValueError):
         SelfTrainConfig(max_rounds=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -479,8 +481,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: SelfTrainConfig(patience=0), "patience must be >= 1"),
-    (lambda: low_confidence_observed(*band_model([2.5]), 0.0), r"tau_refine must lie in \(0, 0.5\)"),
-    (lambda: low_confidence_observed(*band_model([2.5]), 0.5), r"tau_refine must lie in \(0, 0.5\)"),
+    (lambda: low_confidence_observed(*band_model([2.5]), -0.1), r"tau_refine must lie in \[0, 0.5\)"),
+    (lambda: low_confidence_observed(*band_model([2.5]), 0.5), r"tau_refine must lie in \[0, 0.5\)"),
     (lambda: skew_allocation([0.5, 0.5], -1), "total must be >= 0"),
     (lambda: skew_allocation([1.5, -0.5], 10), "shares must be a non-negative vector"),
     (lambda: skew_allocation([[0.5, 0.5]], 10), "shares must be a non-negative vector"),
@@ -489,10 +491,11 @@ def test_config_validation():
      r"sample_pct must lie in \(0, 100\]"),
     (lambda: sample_augment(np.ones((2, 2), np.uint8), [0.5, 0.5], 100.5, 10, None),
      r"sample_pct must lie in \(0, 100\]"),
-    (lambda: sample_augment(np.ones((2, 2), np.uint8), [0.5, 0.5], 100.0, 0, None),
-     "cap must be >= 1"),
-], ids=["patience", "tau-refine-0", "tau-refine-half", "total-negative", "share-negative",
-        "shares-2-d", "one-label", "sample-pct-0", "sample-pct-over-100", "cap-0"])
+    (lambda: sample_augment(np.ones((2, 2), np.uint8), [0.5, 0.5], 100.0, -1, None),
+     "cap must be >= 0"),
+], ids=["patience", "tau-refine-negative", "tau-refine-half", "total-negative",
+        "share-negative", "shares-2-d", "one-label", "sample-pct-0", "sample-pct-over-100",
+        "cap-negative"])
 def test_guards_reject_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -677,6 +680,29 @@ def test_loop_stops_after_the_round_that_empties_the_matrix(monkeypatch):
         assert result.reports[0].augmented == 0
         assert [y_out.n_observed for _, y_out in models] == [0]
         assert result.model is models[0][0]
+
+
+def test_zero_tau_refine_refines_nothing(monkeypatch):
+    train_m, test_m = small_problem()
+    off = selftrain_loop(train_m, loop_config(tau_refine=0.0), test_m)
+    assert [r.refined for r in off.reports] == [0] * 4
+    # the same run with the refine mask forced empty, at the default band
+    monkeypatch.setattr(selftrain, "low_confidence_observed",
+                        lambda model, y, tau: np.zeros(y.n_observed, dtype=bool))
+    forced = selftrain_loop(train_m, loop_config(), test_m)
+    assert off.reports == forced.reports
+    for name in ("user_factors", "item_factors", "thresholds"):
+        np.testing.assert_array_equal(getattr(off.model, name), getattr(forced.model, name))
+
+
+def test_zero_cap_augments_nothing():
+    train_m, test_m = small_problem()
+    result = selftrain_loop(train_m, loop_config(cap=0), test_m)
+    assert len(result.reports) == 4
+    assert all(r.candidates > 0 and r.augmented == 0 for r in result.reports)
+    # refinement alone changes the matrix, round by round
+    reports = result.reports
+    assert [r.observed - r.refined for r in reports[:-1]] == [r.observed for r in reports[1:]]
 
 
 def test_loop_rejects_a_two_level_scale_before_any_solve(monkeypatch):
