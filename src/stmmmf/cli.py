@@ -340,12 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a bad file or bad data prints one `error:` line and
-    returns 1, a usage error exits with 2 after the command's usage."""
+    """Run one command; a bad file, bad data or an input too large to allocate
+    prints one `error:` line and returns 1, a usage error exits with 2 after
+    the command's usage."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, args.parser)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         message = f"file not found: {exc.filename}" if isinstance(exc, FileNotFoundError) else exc
         print(f"error: {message}", file=sys.stderr)
         return 1

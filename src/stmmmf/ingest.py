@@ -91,16 +91,16 @@ def open_text(target, mode: str = "r"):
 
 
 def _read_header(stream, magic: str, kind: str):
-    """The four counts of a `magic 1 a b c d` first line, each an integer in
-    0..sys.maxsize; anything else raises "not a recognized `kind` header"."""
+    """The four counts of a `magic 1 a b c d` first line, each a run of at
+    most 19 ASCII digits worth at most sys.maxsize; anything else raises
+    "not a recognized `kind` header"."""
     header = stream.readline().split()
-    try:
-        counts = [int(field) for field in header[2:]]
-    except ValueError:
-        counts = []
-    if header[:2] == [magic, "1"] and len(counts) == 4 and all(
-            0 <= n <= sys.maxsize for n in counts):
-        return counts
+    fields = header[2:]
+    # int() refuses a string of over 4,300 digits, and sys.maxsize has 19
+    if header[:2] == [magic, "1"] and len(fields) == 4 and all(
+            f.isascii() and f.isdigit() and len(f) < 20 and int(f) <= sys.maxsize
+            for f in fields):
+        return [int(f) for f in fields]
     raise ValueError(f"not a recognized {kind} header")
 
 

@@ -5,18 +5,6 @@ gradients for the user factors, item factors, and thresholds in one pass
 over every (entry, threshold) term, and runs a monotone descent loop with
 backtracking step control.  Also provides rating prediction and the
 textual checkpoint format.
-
-A solve builds one HingeLoss from the training matrix and the
-regularizer.  It holds what the matrix fixes: the threshold-major
-(R-1, n_observed) sign matrix of every term, the per-user entry counts,
-one term buffer and the CSR matrices (user-by-entry, and user-by-item
-with its transpose), all built with the object.  Each call computes only
-what depends on the model: the entry scores, gathered in row blocks so
-that no (n_observed, k) factor copy is built, the threshold rows spread
-over each user's entries, the hinge value 0.5 * ||c - 1||^2 -
-sum(min(z, 0)) with c = clip(z, 0, 1), the coefficients of every term
-in place, the per-entry weights written into the CSR data, and the
-sparse products.
 """
 
 from __future__ import annotations

@@ -37,17 +37,22 @@ def run(argv):
 
 # --------------------------------------------------------------------- ingest
 
+@pytest.mark.filterwarnings("error")
 def test_ingest_prints_shape(tmp_path, capsys):
     lines = ["1\t10\t3\t100", "1\t11\t4\t100", "2\t10\t5\t100", "2\t12\t1\t100"]
     src = tmp_path / "u.data"
-    src.write_text("\n".join(lines) + "\n")
     out = tmp_path / "y.stmat"
-    code = run(["ingest", src, "--flavor", "ml100k", "--out", out, "--min-ratings", "0"])
-    assert code == 0
-    printed = capsys.readouterr().out.splitlines()
-    assert printed[0] == "2 3 5 4"
-    assert printed[1].startswith("sparsity ")
-    assert load_matrix(out).n_observed == 4
+    # a file with no rows is a 1 x 1 matrix with no entries
+    for text, shape, n in (("\n".join(lines) + "\n", "2 3 5 4", 4), ("", "1 1 5 0", 0)):
+        src.write_text(text)
+        code = run(["ingest", src, "--flavor", "ml100k", "--out", out, "--min-ratings", "0"])
+        assert code == 0
+        captured = capsys.readouterr()
+        printed = captured.out.splitlines()
+        assert printed[0] == shape
+        assert printed[1].startswith("sparsity ")
+        assert captured.err == ""
+        assert load_matrix(out).n_observed == n
 
 
 def test_ingest_min_ratings_filter(tmp_path, capsys):
@@ -92,10 +97,16 @@ def test_ingest_missing_file(tmp_path, capsys):
 
 def test_ingest_parse_error_has_line_number(tmp_path, capsys):
     src = tmp_path / "u.data"
-    src.write_text("1\t2\t3\t4\nbad line\n")
-    code = run(["ingest", src, "--out", tmp_path / "y.stmat"])
-    assert code != 0
-    assert "line 2" in capsys.readouterr().err
+    out = tmp_path / "y.stmat"
+    for text, line in (("1\t2\t3\t4\nbad line\n", 2),
+                       ("1\t2\t3\t4\n1\t3\t4\t5\n1\tx\t3\t4\n", 3)):
+        src.write_text(text)
+        assert run(["ingest", src, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: line {line}: expected 4 int64 values per line"]
+        assert not out.exists()
 
 
 def test_ingest_benchmark_scale_statistics(tmp_path, capsys):
@@ -460,10 +471,11 @@ def test_evaluate_shape_mismatch(tmp_path, capsys):
         "error: model grid (2, 2, 5) differs from the test set's (3, 2, 5)"]
 
 
-def test_evaluate_train_on_another_grid_is_one_error_line(tmp_path, capsys):
+@pytest.mark.parametrize("n_users, n_items", [(2, 3), (1, 2)], ids=["more-items", "fewer-users"])
+def test_evaluate_train_on_another_grid_is_one_error_line(tmp_path, capsys, n_users, n_items):
     model = FactorModel(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 4)))
     test_m = SparseRatingMatrix.from_triples(2, 2, 5, [(1, 0, 1)])
-    train_m = SparseRatingMatrix.from_triples(2, 3, 5, [(0, 2, 4)])
+    train_m = SparseRatingMatrix.from_triples(n_users, n_items, 5, [(0, n_items - 1, 4)])
     ckpt, tpath, trpath = tmp_path / "m.stmmmf", tmp_path / "t.stmat", tmp_path / "tr.stmat"
     save_checkpoint(model, ckpt)
     save_matrix(test_m, tpath)
@@ -472,7 +484,7 @@ def test_evaluate_train_on_another_grid_is_one_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: --train matrix grid (2, 3, 5) differs from the model's (2, 2, 5)"]
+        f"error: --train matrix grid ({n_users}, {n_items}, 5) differs from the model's (2, 2, 5)"]
 
 
 # ----------------------------------------------------------------- gridsearch
@@ -970,25 +982,16 @@ def test_baseline_rounds_grid_mismatch_is_an_error_line(toy_files, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
-def test_evaluate_train_grid_mismatch_is_an_error_line(toy_files, capsys):
-    tmp_path, train_path, test_path = toy_files
-    y = load_matrix(train_path)
-    ckpt, small = tmp_path / "m.stmmmf", tmp_path / "small.stmat"
-    save_checkpoint(FactorModel(np.zeros((y.n_users, 1)), np.zeros((y.n_items, 1)),
-                                np.zeros((y.n_users, y.max_rating - 1))), ckpt)
-    save_matrix(SparseRatingMatrix.from_triples(10, y.n_items, y.max_rating, [(0, 0, 3)]),
-                small)
-    assert run(["evaluate", ckpt, "--test", test_path, "--train", small]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-
-
 # ------------------------------------------------------------- error boundary
 
 @pytest.mark.parametrize("header, kind", [
     ("STMAT 1 2 2 5 -1", "matrix"),
     ("STMAT 1 a 2 5 0", "matrix"),
     ("STMAT 1 2 2 5 99999999999999999999", "matrix"),
+    pytest.param("STMAT 1 2 2 5 " + "0" * 4999 + "1", "matrix", id="5000-digit-count"),
+    ("STMAT 1 1_0 2 5 0", "matrix"),
+    ("STMAT 1 +3 2 5 0", "matrix"),
+    ("STMAT 1 \u0663 2 5 0", "matrix"),  # the Arabic-Indic digit three
     ("STMMMF 1 -2 2 1 5", "checkpoint"),
     ("STMMMF 1 0 0 0 0", "checkpoint"),
     ("STMMMF 1 2 2 1 1", "checkpoint"),
@@ -998,11 +1001,26 @@ def test_evaluate_train_grid_mismatch_is_an_error_line(toy_files, capsys):
 def test_malformed_header_is_one_error_line(toy_files, capsys, header, kind):
     tmp_path, _, test_path = toy_files
     bad = tmp_path / "bad"
-    bad.write_text(header + "\n")
+    bad.write_text(header + "\n", encoding="utf-8")
     argv = (["split", bad, "--train-out", tmp_path / "t.stmat", "--test-out", tmp_path / "e.stmat"]
             if kind == "matrix" else ["evaluate", bad, "--test", test_path])
     assert run(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: not a recognized {kind} header"]
+
+
+def test_input_too_large_to_allocate_is_one_error_line(toy_files, capsys, monkeypatch):
+    tmp_path, train_path, test_path = toy_files
+    message = ("Unable to allocate 931. GiB for an array with shape (1000000, 1000000) "
+               "and data type uint8")
+
+    def too_large(model, y, tau_augment):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(selftrain, "candidate_levels", too_large)
+    args = selftrain_args(tmp_path, train_path, test_path) + ["--snapshot-every", "1"]
+    assert run(args) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert [f for f in (tmp_path / "run").rglob("*") if f.is_file()] == []
 
 
 @pytest.mark.parametrize("argv, named", [
