@@ -131,15 +131,17 @@ def cmd_evaluate(args, parser) -> int:
     preds = predict_ratings(model, test.users, test.items, trained_on=train)
     pairs = np.column_stack([test.ratings, preds])
     metrics = snapshot(pairs)
+    # built before the first print, so a failed allocation prints no partial report
+    cm = confusion(pairs.astype(np.int64), test.max_rating)
+    hr = hr_table(cm)
     print(f"MAE {metrics.mae:.4f}")
     print(f"RMSE {metrics.rmse:.4f}")
-    cm = confusion(pairs.astype(np.int64), test.max_rating)
     print("confusion (rows: actual, columns: predicted 1..R)")
     for actual in range(1, test.max_rating + 1):
         row = " ".join(str(v) for v in cm[actual - 1])
         print(f"actual {actual}: {row}")
     print("HR@K (columns: K = 0..R-1, * where not applicable)")
-    for actual, row in enumerate(hr_table(cm), start=1):
+    for actual, row in enumerate(hr, start=1):
         cells = " ".join("*" if v is None else f"{v:.4f}" for v in row)
         print(f"actual {actual}: {cells}")
     return 0
@@ -223,7 +225,7 @@ def cmd_gridsearch(args, parser) -> int:
 
 def _round_number(path: Path) -> int:
     digits = path.stem.removeprefix("round_")
-    if not digits.isdecimal():
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"snapshot {path} has no round number after round_")
     return int(digits)
 

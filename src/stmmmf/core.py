@@ -36,6 +36,21 @@ def _strictly_increasing(users: np.ndarray, items: np.ndarray, n_items: int) -> 
     return True
 
 
+def _freeze(obj, **arrays):
+    """Store each array read-only as obj's field of that name: the one
+    ownership rule of the frozen SparseRatingMatrix and FactorModel.
+
+    An array that owns its C-contiguous memory is taken over and made
+    read-only in place: pass a copy if you will keep writing to yours.
+    Any other array (a view, a strided or Fortran-order one) is copied first.
+    """
+    for name, arr in arrays.items():
+        if arr.base is not None or not arr.flags.c_contiguous:
+            arr = arr.copy()
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
 def row_dots(a: np.ndarray, a_rows, b: np.ndarray, b_rows) -> np.ndarray:
     """a[a_rows[j]] . b[b_rows[j]] for each j, as a float64 vector.
 
@@ -59,15 +74,10 @@ class SparseRatingMatrix:
 
     Ratings live on the ordinal scale 1..max_rating; an absent pair means
     "unobserved" (0 is never stored).  Entries are kept sorted by
-    (user, item) and the arrays are frozen after validation, so instances
-    are safe to share across threads.
-
-    Input already in strictly increasing (user, item) order is not
-    re-sorted, and each of its arrays that is int64, C-contiguous and owns
-    its memory is taken over rather than copied: it becomes the matrix's
-    array and is made read-only in place.  Pass a copy if you will keep
-    writing to your arrays.  Views, other dtypes and unsorted input are
-    copied.
+    (user, item) and the arrays are stored by _freeze after validation,
+    so instances are safe to share across threads.  Int64 input already in
+    strictly increasing (user, item) order is not re-sorted and follows
+    _freeze's ownership rule; other dtypes and unsorted input are copied.
     """
 
     n_users: int
@@ -94,23 +104,13 @@ class SparseRatingMatrix:
                 raise ValueError("item index out of range")
             if ratings.min() < 1 or ratings.max() > self.max_rating:
                 raise ValueError("rating outside 1..max_rating")
-        if _strictly_increasing(users, items, self.n_items):
-            # Sorted and unique already: take over what no view shares.
-            users, items, ratings = (
-                a if a.base is None and a.flags.c_contiguous else a.copy()
-                for a in (users, items, ratings)
-            )
-        else:
+        if not _strictly_increasing(users, items, self.n_items):
             keys = users * self.n_items + items
             order = np.argsort(keys, kind="stable")
             if np.any(np.diff(keys[order]) == 0):
                 raise ValueError("duplicate (user, item) pair")
             users, items, ratings = users[order], items[order], ratings[order]
-        for arr in (users, items, ratings):
-            arr.flags.writeable = False
-        object.__setattr__(self, "users", users)
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "ratings", ratings)
+        _freeze(self, users=users, items=items, ratings=ratings)
 
     @classmethod
     def from_triples(cls, n_users, n_items, max_rating, triples):
@@ -183,7 +183,8 @@ class FactorModel:
     user_factors is (n_users, d), item_factors is (n_items, d), and
     thresholds is (n_users, R-1) holding each user's cut points between
     consecutive rating levels.  The virtual sentinels at -inf and +inf
-    bounding the scale are implied by accessors, never stored.
+    bounding the scale are implied by accessors, never stored.  Float64
+    input follows _freeze's ownership rule; other dtypes are copied.
     """
 
     user_factors: np.ndarray
@@ -191,10 +192,9 @@ class FactorModel:
     thresholds: np.ndarray
 
     def __post_init__(self):
-        # np.array (not asarray) so freezing never back-propagates to the caller
-        U = np.array(self.user_factors, dtype=np.float64)
-        V = np.array(self.item_factors, dtype=np.float64)
-        T = np.array(self.thresholds, dtype=np.float64)
+        U = np.asarray(self.user_factors, dtype=np.float64)
+        V = np.asarray(self.item_factors, dtype=np.float64)
+        T = np.asarray(self.thresholds, dtype=np.float64)
         if U.ndim != 2 or V.ndim != 2 or T.ndim != 2:
             raise ValueError("factor and threshold arrays must be 2-D")
         if U.shape[1] != V.shape[1]:
@@ -205,11 +205,7 @@ class FactorModel:
             raise ValueError("need at least one threshold column (R >= 2)")
         if not (np.isfinite(U).all() and np.isfinite(V).all() and np.isfinite(T).all()):
             raise ValueError("model contains non-finite values")
-        for arr in (U, V, T):
-            arr.flags.writeable = False
-        object.__setattr__(self, "user_factors", U)
-        object.__setattr__(self, "item_factors", V)
-        object.__setattr__(self, "thresholds", T)
+        _freeze(self, user_factors=U, item_factors=V, thresholds=T)
 
     @property
     def n_users(self) -> int:

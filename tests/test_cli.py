@@ -39,20 +39,25 @@ def run(argv):
 
 @pytest.mark.filterwarnings("error")
 def test_ingest_prints_shape(tmp_path, capsys):
-    lines = ["1\t10\t3\t100", "1\t11\t4\t100", "2\t10\t5\t100", "2\t12\t1\t100"]
+    rows = [(1, 10, 3, 100), (1, 11, 4, 100), (2, 10, 5, 100), (2, 12, 1, 100)]
     src = tmp_path / "u.data"
     out = tmp_path / "y.stmat"
-    # a file with no rows is a 1 x 1 matrix with no entries
-    for text, shape, n in (("\n".join(lines) + "\n", "2 3 5 4", 4), ("", "1 1 5 0", 0)):
-        src.write_text(text)
-        code = run(["ingest", src, "--flavor", "ml100k", "--out", out, "--min-ratings", "0"])
+    written = []
+    # the same ratings in either flavor, then a file with no rows: a 1 x 1 matrix with no entries
+    for sep, flavor, given, shape in (("\t", "ml100k", rows, "2 3 5 4"),
+                                      ("::", "ml1m", rows, "2 3 5 4"),
+                                      ("\t", "ml100k", [], "1 1 5 0")):
+        src.write_text("".join(sep.join(map(str, row)) + "\n" for row in given))
+        code = run(["ingest", src, "--flavor", flavor, "--out", out, "--min-ratings", "0"])
         assert code == 0
         captured = capsys.readouterr()
         printed = captured.out.splitlines()
         assert printed[0] == shape
         assert printed[1].startswith("sparsity ")
         assert captured.err == ""
-        assert load_matrix(out).n_observed == n
+        assert load_matrix(out).n_observed == len(given)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_ingest_min_ratings_filter(tmp_path, capsys):
@@ -135,6 +140,17 @@ def test_split_deterministic_files(toy_files, capsys):
     assert b1.read_bytes() == b2.read_bytes()
     out = capsys.readouterr().out
     assert "train " in out and "test " in out
+
+
+def test_split_writes_into_stmmmf_out_dir_by_default(toy_files, monkeypatch):
+    tmp_path, train_path, _ = toy_files
+    out_dir = tmp_path / "outputs"
+    out_dir.mkdir()
+    monkeypatch.setenv("STMMMF_OUT_DIR", str(out_dir))
+    assert run(["split", train_path]) == 0
+    assert sorted(f.name for f in out_dir.iterdir()) == ["test.stmat", "train.stmat"]
+    train_m, test_m = (load_matrix(out_dir / name) for name in ("train.stmat", "test.stmat"))
+    assert train_m.n_observed + test_m.n_observed == load_matrix(train_path).n_observed
 
 
 def test_split_sizes(toy_files, capsys):
@@ -268,11 +284,19 @@ def test_selftrain_rejects_a_test_set_overlapping_training_before_writing(toy_fi
 
 def test_selftrain_snapshots(toy_files):
     tmp_path, train_path, test_path = toy_files
-    args = selftrain_args(tmp_path, train_path, test_path) + ["--snapshot-every", "1"]
-    assert run(args) == 0
-    snaps = sorted((tmp_path / "run" / "snapshots").glob("round_*.stmat"))
-    assert [s.name for s in snaps] == ["round_000.stmat", "round_001.stmat", "round_002.stmat"]
-    assert load_matrix(snaps[0]).content_hash() == load_matrix(train_path).content_hash()
+    for every, iters, rounds in (("1", "2", [0, 1, 2]), ("2", "3", [0, 2])):
+        run_dir = tmp_path / f"every{every}"
+        args = selftrain_args(tmp_path, train_path, test_path, iters=iters,
+                              **{"snapshot-every": every, "out-dir": run_dir})
+        assert run(args) == 0
+        assert len((run_dir / "reports.jsonl").read_text().splitlines()) == int(iters)
+        snaps = sorted((run_dir / "snapshots").glob("round_*.stmat"))
+        assert [s.name for s in snaps] == [f"round_{k:03d}.stmat" for k in rounds]
+        assert load_matrix(snaps[0]).content_hash() == load_matrix(train_path).content_hash()
+    out = tmp_path / "b.csv"
+    assert run(["baseline-rounds", run_dir / "snapshots", "--test", test_path,
+                "--epochs", "1", "--out", out]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["0", "2"]
 
 
 def test_selftrain_refuses_snapshots_of_an_earlier_run(toy_files, capsys):
@@ -469,6 +493,24 @@ def test_evaluate_shape_mismatch(tmp_path, capsys):
     assert run(["evaluate", ckpt, "--test", tpath]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: model grid (2, 2, 5) differs from the test set's (3, 2, 5)"]
+
+
+def test_evaluate_allocation_failure_prints_no_partial_report(tmp_path, capsys, monkeypatch):
+    model = FactorModel(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 4)))
+    test_m = SparseRatingMatrix.from_triples(2, 2, 5, [(0, 0, 1), (1, 1, 5)])
+    ckpt, tpath = tmp_path / "m.stmmmf", tmp_path / "t.stmat"
+    save_checkpoint(model, ckpt)
+    save_matrix(test_m, tpath)
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+
+    def too_large(pairs, n_levels):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "confusion", too_large)
+    assert run(["evaluate", ckpt, "--test", tpath]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("n_users, n_items", [(2, 3), (1, 2)], ids=["more-items", "fewer-users"])
@@ -954,16 +996,17 @@ def test_baseline_rounds_two_files_for_one_round_is_an_error_line(toy_files, cap
     assert not out.exists()
 
 
-def test_baseline_rounds_non_numeric_snapshot_is_an_error_line(toy_files, capsys):
+@pytest.mark.parametrize("bad", ["round_x", "round_\u0663"], ids=["letter", "arabic-indic-digit"])
+def test_baseline_rounds_non_numeric_snapshot_is_an_error_line(toy_files, capsys, bad):
     tmp_path, train_path, test_path = toy_files
     snaps = tmp_path / "snaps"
     snaps.mkdir()
-    for name in ("round_000", "round_x"):
+    for name in ("round_000", bad):
         save_matrix(load_matrix(train_path), snaps / f"{name}.stmat")
     assert run(["baseline-rounds", snaps, "--test", test_path,
                 "--out", tmp_path / "b.csv"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "round_x.stmat" in err[0]
+    assert len(err) == 1 and err[0].startswith("error: ") and f"{bad}.stmat" in err[0]
     assert not (tmp_path / "b.csv").exists()
 
 

@@ -239,12 +239,28 @@ def sorted_cells(n_users=6, n_items=5):
     return cells // n_items, cells % n_items, cells % 5 + 1
 
 
-def test_matrix_takes_over_sorted_owned_arrays():
-    u, i, r = sorted_cells()
-    y = SparseRatingMatrix(6, 5, 5, u, i, r)
-    for got, given in ((y.users, u), (y.items, i), (y.ratings, r)):
-        assert np.shares_memory(got, given)
-        assert not given.flags.writeable
+def model_blocks():
+    """Fresh, owned float64 factor and threshold blocks, exact in float32."""
+    return np.ones((6, 2)), np.full((5, 2), 0.5), np.full((6, 4), 2.0)
+
+
+# what each frozen type is built from, and the arrays it stores
+OWNERS = {
+    "matrix": (sorted_cells, lambda *a: SparseRatingMatrix(6, 5, 5, *a), np.int32,
+               lambda y: (y.users, y.items, y.ratings)),
+    "model": (model_blocks, FactorModel, np.float32,
+              lambda m: (m.user_factors, m.item_factors, m.thresholds)),
+}
+
+
+@pytest.mark.parametrize("kind", OWNERS)
+def test_takes_over_owned_arrays(kind):
+    fresh, build, _, stored = OWNERS[kind]
+    given = fresh()
+    for got, arr in zip(stored(build(*given)), given):
+        assert got is arr
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
 
 
 @pytest.mark.parametrize("swap", [2, 3, 4, 5, 7])
@@ -281,17 +297,20 @@ def test_matrix_order_check_holds_no_key_array(monkeypatch):
     assert peak < 2 * 9 * core.ORDER_CHECK_BLOCK < 9 * n
 
 
-def test_matrix_copies_views_strided_columns_and_other_dtypes():
-    u, i, r = sorted_cells()
+@pytest.mark.parametrize("kind", OWNERS)
+def test_copies_views_strided_arrays_and_other_dtypes(kind):
+    fresh, build, other_dtype, stored = OWNERS[kind]
+    want = fresh()
     cases = {
-        "contiguous views": [np.append(a, 0)[:-1] for a in (u, i, r)],
-        "strided columns": list(np.column_stack([u, i, r]).T),
-        "int32": [a.astype(np.int32) for a in (u, i, r)],
+        "contiguous views": [np.append(a, a[:1], axis=0)[:-1] for a in want],
+        "strided arrays": [np.stack([a, a], axis=-1)[..., 0] for a in want],
+        "other dtype": [a.astype(other_dtype) for a in want],
     }
+    if kind == "model":  # only a 2-D array can own memory that is not C-contiguous
+        cases["Fortran order"] = [np.asfortranarray(a) for a in want]
     for name, given in cases.items():
-        y = SparseRatingMatrix(6, 5, 5, *given)
-        for got, arr, want in zip((y.users, y.items, y.ratings), given, (u, i, r)):
-            np.testing.assert_array_equal(got, want)
+        for got, arr, expected in zip(stored(build(*given)), given, want):
+            np.testing.assert_array_equal(got, expected)
             assert not np.shares_memory(got, arr), name
             assert arr.flags.writeable, name
             assert arr.base is None or arr.base.flags.writeable, name
