@@ -132,7 +132,7 @@ def cmd_evaluate(args, parser) -> int:
     pairs = np.column_stack([test.ratings, preds])
     metrics = snapshot(pairs)
     # built before the first print, so a failed allocation prints no partial report
-    cm = confusion(pairs.astype(np.int64), test.max_rating)
+    cm = confusion(pairs, test.max_rating)
     hr = hr_table(cm)
     print(f"MAE {metrics.mae:.4f}")
     print(f"RMSE {metrics.rmse:.4f}")

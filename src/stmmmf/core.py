@@ -18,18 +18,17 @@ import numpy as np
 # well-formed when a learned threshold row collapses or inverts.
 GAP_EPS = 1e-6
 
-# Rows per block of the gathers in row_dots.
-ROW_DOT_BLOCK = 4096
-
-# Entries per block of SparseRatingMatrix's order check.
-ORDER_CHECK_BLOCK = 65536
+# Entries per block of every blocked pass over per-entry arrays.  A pass holds
+# a few arrays or Python objects per entry of its block, so blocking bounds its
+# temporaries by this size instead of by the input's.
+BLOCK = 4096
 
 
 def _strictly_increasing(users: np.ndarray, items: np.ndarray, n_items: int) -> bool:
     """Whether keys users * n_items + items strictly increase, checked in
     blocks that overlap by one entry so no key array spans the input."""
-    for start in range(0, users.size - 1, ORDER_CHECK_BLOCK):
-        stop = start + ORDER_CHECK_BLOCK + 1
+    for start in range(0, users.size - 1, BLOCK):
+        stop = start + BLOCK + 1
         keys = users[start:stop] * n_items + items[start:stop]
         if not (keys[1:] > keys[:-1]).all():
             return False
@@ -54,15 +53,15 @@ def _freeze(obj, **arrays):
 def row_dots(a: np.ndarray, a_rows, b: np.ndarray, b_rows) -> np.ndarray:
     """a[a_rows[j]] . b[b_rows[j]] for each j, as a float64 vector.
 
-    Rows are gathered ROW_DOT_BLOCK at a time, so no (n, k) copy of either
+    Rows are gathered BLOCK at a time, so no (n, k) copy of either
     side is built.  A row's dot product does not depend on its block: the
     result has the bits of one einsum over the full gathers.
     """
     a_rows = np.asarray(a_rows, dtype=np.int64)
     b_rows = np.asarray(b_rows, dtype=np.int64)
     out = np.empty(a_rows.size)
-    for start in range(0, a_rows.size, ROW_DOT_BLOCK):
-        rows = slice(start, start + ROW_DOT_BLOCK)
+    for start in range(0, a_rows.size, BLOCK):
+        rows = slice(start, start + BLOCK)
         np.einsum("ij,ij->i", np.take(a, a_rows[rows], axis=0),
                   np.take(b, b_rows[rows], axis=0), out=out[rows])
     return out

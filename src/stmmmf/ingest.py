@@ -17,17 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseRatingMatrix
+from .core import BLOCK, SparseRatingMatrix
 
 MATRIX_MAGIC = "STMAT"
 
 # both MovieLens layouts rate on 1..5
 MAX_RATING = 5
-
-# Rows per block of the text _format_rows builds, and lines per block a failed
-# parse re-checks: each block's values live as Python objects while it is
-# handled, so the block bounds that memory.
-FORMAT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -123,11 +118,11 @@ def _read_table(lines, n_cols: int, dtype, delimiter=None, n_rows=None) -> np.nd
 
 def _format_rows(columns, fmt: str, sep: str = " "):
     """Yield the rows of equal-length columns as lines of fmt values joined
-    by sep, one template per block of FORMAT_BLOCK rows; a 2-D table `t` is
+    by sep, one template per block of BLOCK rows; a 2-D table `t` is
     passed as `t.T`.  No row-major copy of the whole table is built."""
     row = sep.join([fmt] * len(columns)) + "\n"
-    for start in range(0, len(columns[0]), FORMAT_BLOCK):
-        block = np.column_stack([c[start:start + FORMAT_BLOCK] for c in columns])
+    for start in range(0, len(columns[0]), BLOCK):
+        block = np.column_stack([c[start:start + BLOCK] for c in columns])
         yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
@@ -156,7 +151,7 @@ def _parse_delimited(source, delimiter: str) -> RawRatings:
                 raise
             stream.seek(start)  # find the first block that fails, then its first bad line
             numbered = enumerate(stream, start=1)
-            for block in iter(lambda: list(itertools.islice(numbered, FORMAT_BLOCK)), []):
+            for block in iter(lambda: list(itertools.islice(numbered, BLOCK)), []):
                 try:
                     _rating_table([line for _, line in block], delimiter)
                 except ValueError:

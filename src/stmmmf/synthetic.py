@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ROW_DOT_BLOCK, FactorModel, SparseRatingMatrix, _largest_remainder, discretize_rows
+from .core import BLOCK, FactorModel, SparseRatingMatrix, _largest_remainder, discretize_rows
 from .ingest import MAX_RATING, _format_rows
 
 
@@ -142,8 +142,8 @@ def synthetic_ratings_file(
     scores = model.scores(users, items) + rng.normal(0.0, 0.7, size=n_ratings)
     # a block of rows at a time, so no (n_ratings, R - 1) threshold gather is built
     ratings = np.empty(n_ratings, dtype=np.int64)
-    for start in range(0, n_ratings, ROW_DOT_BLOCK):
-        rows = slice(start, start + ROW_DOT_BLOCK)
+    for start in range(0, n_ratings, BLOCK):
+        rows = slice(start, start + BLOCK)
         ratings[rows] = discretize_rows(model.thresholds[users[rows]], scores[rows, None])[:, 0]
     del scores
     stamps = rng.integers(874_000_000, 894_000_000, size=n_ratings)

@@ -124,10 +124,9 @@ def initial_model(y: SparseRatingMatrix, n_factors: int, seed: int) -> FactorMod
     scale = 1.0 / np.sqrt(n_factors)
     u = rng.uniform(-0.5, 0.5, size=(y.n_users, n_factors)) * scale
     v = rng.uniform(-0.5, 0.5, size=(y.n_items, n_factors)) * scale
-    theta = np.tile(
-        np.arange(1, y.max_rating, dtype=np.float64) - y.max_rating / 2.0,
-        (y.n_users, 1),
-    )
+    # np.repeat's result owns its memory, so FactorModel takes it over uncopied
+    row = np.arange(1, y.max_rating, dtype=np.float64) - y.max_rating / 2.0
+    theta = np.repeat(row[None, :], y.n_users, axis=0)
     return FactorModel(u, v, theta)
 
 
@@ -149,39 +148,38 @@ def train(y: SparseRatingMatrix, cfg):
         raise ValueError("cannot train on an empty rating matrix")
     model = initial_model(y, cfg.n_factors, cfg.seed)
     loss = HingeLoss(y, cfg.reg)
-    # Overflow is reported as the error below, so NumPy need not warn of it.
+    # An overflowing initial objective is the error below and an overflowing
+    # trial is rejected, so NumPy need not warn of either.
     with np.errstate(over="ignore", invalid="ignore"):
         current, grads = loss(model)
-    kernel_calls = 1
-    if not np.isfinite(current):
-        raise ValueError(f"initial objective is not finite at reg={cfg.reg:g}")
-    objectives = [current]
-    lr = cfg.lr
-    violations = 0
-    converged = False
-    for _ in range(cfg.gd_iters):
-        while lr >= _MIN_LR:
-            # An overflowing trial is rejected, so NumPy need not warn of it.
-            with np.errstate(over="ignore", invalid="ignore"):
+        kernel_calls = 1
+        if not np.isfinite(current):
+            raise ValueError(f"initial objective is not finite at reg={cfg.reg:g}")
+        objectives = [current]
+        lr = cfg.lr
+        violations = 0
+        converged = False
+        for _ in range(cfg.gd_iters):
+            while lr >= _MIN_LR:
                 candidate = gd_step(model, grads, lr)
                 if candidate is not None:
                     value, candidate_grads = loss(candidate)
                     kernel_calls += 1
                     if np.isfinite(value) and value <= current:
                         break
-            lr *= 0.5
-        else:  # no step size down to _MIN_LR lowers the objective
-            break
-        model, grads = candidate, candidate_grads
-        objectives.append(value)
-        violations += int(
-            np.count_nonzero(np.any(np.diff(model.thresholds, axis=1) < 0, axis=1))
-        )
-        rel_drop = (current - value) / max(current, 1.0)
-        current = value
-        if rel_drop < cfg.tol:
-            converged = True
-            break
+                lr *= 0.5
+            else:  # no step size down to _MIN_LR lowers the objective
+                break
+            model, grads = candidate, candidate_grads
+            objectives.append(value)
+            violations += int(
+                np.count_nonzero(np.any(np.diff(model.thresholds, axis=1) < 0, axis=1))
+            )
+            rel_drop = (current - value) / max(current, 1.0)
+            current = value
+            if rel_drop < cfg.tol:
+                converged = True
+                break
     return model, TrainTrace(np.array(objectives), len(objectives) - 1, converged, violations,
                              kernel_calls)
 

@@ -2,8 +2,11 @@
 
 smooth_hinge and smooth_hinge_grad are the scalar/array smooth hinge of
 Rennie & Srebro (ICML 2005) that trainer.HingeLoss computes inline;
-dense is a matrix's ratings laid out on its full grid.
+dense is a matrix's ratings laid out on its full grid, and traced_peak the
+probe every memory-bound test reads its peak from.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -34,3 +37,14 @@ def dense(y):
     grid = np.zeros((y.n_users, y.n_items), dtype=np.min_scalar_type(y.max_rating))
     grid[y.users, y.items] = y.ratings
     return grid
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from oracle import traced_peak
 from stmmmf.baseline import (
     BATCH_SIZE,
     BaselineConfig,
@@ -12,8 +11,7 @@ from stmmmf.baseline import (
     rounds_experiment,
     train_baseline,
 )
-from stmmmf.core import ROW_DOT_BLOCK as _LOSS_BLOCK
-from stmmmf.core import SparseRatingMatrix
+from stmmmf.core import BLOCK, SparseRatingMatrix
 from stmmmf.evaluation import split
 
 
@@ -92,7 +90,7 @@ def reference_baseline(y, cfg):
 
 def test_loss_blocks_match_unblocked_bits():
     rng = np.random.default_rng(5)
-    for n in (_LOSS_BLOCK - 1, _LOSS_BLOCK, _LOSS_BLOCK + 1, 2 * _LOSS_BLOCK + 3):
+    for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
         y = random_matrix(97, 211, n, seed=n)
         bu, bi = rng.normal(size=97), rng.normal(size=211)
         p, q = rng.normal(size=(97, 13)), rng.normal(size=(211, 13))
@@ -106,8 +104,8 @@ def test_loss_blocks_match_unblocked_bits():
 ], ids=["lr-halving", "steady"])
 def test_train_matches_reference_bits(cfg, halves):
     # 40 users and 150 items: every batch repeats each user ~25 times
-    y = random_matrix(40, 150, _LOSS_BLOCK + 1500, seed=8)
-    assert y.n_observed > _LOSS_BLOCK and y.n_observed % BATCH_SIZE
+    y = random_matrix(40, 150, BLOCK + 1500, seed=8)
+    assert y.n_observed > BLOCK and y.n_observed % BATCH_SIZE
     model = train_baseline(y, cfg)
     ref, final_lr = reference_baseline(y, cfg)
     assert (final_lr < cfg.lr) == halves
@@ -140,16 +138,11 @@ def test_prediction_holds_no_full_gather():
     traced peak stays below one unblocked (n_test, k) float64 gather,
     eight times the two block gathers here."""
     rng = np.random.default_rng(3)
-    n, k = 16 * _LOSS_BLOCK, 32
+    n, k = 16 * BLOCK, 32
     model = BaselineModel(rng.normal(size=(300, k)), rng.normal(size=(400, k)),
                           rng.normal(size=300), rng.normal(size=400), 3.5, 5)
     users, items = rng.integers(0, 300, n), rng.integers(0, 400, n)
-    tracemalloc.start()
-    try:
-        predict_baseline_many(model, users, items)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(predict_baseline_many, model, users, items)
     assert peak < n * k * 8
 
 

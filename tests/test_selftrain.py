@@ -1,11 +1,10 @@
 import json
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from oracle import dense
+from oracle import dense, traced_peak
 from stmmmf.core import FactorModel, SparseRatingMatrix, avg_threshold_gaps, discretize_rows
 from stmmmf import selftrain, trainer
 from stmmmf.evaluation import MetricsSnapshot, split
@@ -91,12 +90,7 @@ def test_candidate_levels_peak_allocation_is_the_grid_and_a_few_blocks():
                         np.tile([-1.5, -0.5, 0.5, 1.5], (n_users, 1)))
     y = SparseRatingMatrix(n_users, n_items, 5, np.arange(n_users),
                            np.zeros(n_users, dtype=np.int64), np.full(n_users, 3))
-    tracemalloc.start()
-    try:
-        grid = candidate_levels(model, y, 0.01)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    grid, peak = traced_peak(candidate_levels, model, y, 0.01)
     assert grid.dtype == np.uint8 and grid.shape == (n_users, n_items)
     assert np.count_nonzero(grid) == 514_055
     assert peak <= grid.nbytes + 4 * SCORE_BLOCK * n_items * 8

@@ -1,10 +1,10 @@
 import hashlib
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracle import traced_peak
 from stmmmf.core import SparseRatingMatrix
 from stmmmf.evaluation import split
 from stmmmf.ingest import PreprocessResult, RawRatings, parse_ml100k, preprocess
@@ -84,12 +84,8 @@ def test_ratings_file_peak_stays_under_five_texts():
     are formatted from the four columns a block at a time: what remains is
     the columns, the text's blocks and the joined text (7.4 texts if all
     of it stays alive)."""
-    tracemalloc.start()
-    try:
-        text = synthetic_ratings_file(seed=3, n_users=400, n_items=600, n_ratings=40_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    text, peak = traced_peak(lambda: synthetic_ratings_file(
+        seed=3, n_users=400, n_items=600, n_ratings=40_000))
     assert peak < 5 * len(text)
 
 
